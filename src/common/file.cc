@@ -70,10 +70,15 @@ class PosixRandomAccessFile : public RandomAccessFile {
   ~PosixRandomAccessFile() override { ::close(fd_); }
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
-    out->clear();
-    if (offset >= size_) return Status::OK();
+    if (offset >= size_) {
+      out->clear();
+      return Status::OK();
+    }
     n = static_cast<size_t>(
         std::min<uint64_t>(n, size_ - offset));
+    // No clear() first: a reused buffer (a recycled buffer-pool frame)
+    // that already holds n bytes is not zero-filled before pread
+    // overwrites it.
     out->resize(n);
     size_t done = 0;
     while (done < n) {

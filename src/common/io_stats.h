@@ -17,19 +17,33 @@ struct PageIoCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// Wall time spent inside buffer-pool fetches (steady clock).
-  int64_t micros = 0;
+  /// Wall time of the page reads of misses (steady clock); hits are
+  /// counted but not timed.
+  int64_t nanos = 0;
 
   void Add(const PageIoCounters& other) {
     hits += other.hits;
     misses += other.misses;
     evictions += other.evictions;
-    micros += other.micros;
+    nanos += other.nanos;
+  }
+
+  /// Member-wise `*this - base`: the growth of a cumulative counter.
+  PageIoCounters Since(const PageIoCounters& base) const {
+    PageIoCounters delta;
+    delta.hits = hits - base.hits;
+    delta.misses = misses - base.misses;
+    delta.evictions = evictions - base.evictions;
+    delta.nanos = nanos - base.nanos;
+    return delta;
   }
 
   bool IsZero() const {
-    return hits == 0 && misses == 0 && evictions == 0 && micros == 0;
+    return hits == 0 && misses == 0 && evictions == 0 && nanos == 0;
   }
+
+  /// Read time rounded to whole microseconds, the trace's unit.
+  int64_t RoundedMicros() const { return (nanos + 500) / 1000; }
 
   /// Pages touched (every fetch is either a hit or a miss).
   uint64_t Fetches() const { return hits + misses; }

@@ -12,7 +12,8 @@ void PutVarint64(std::string* dst, uint64_t value) {
   dst->push_back(static_cast<char>(value));
 }
 
-Status GetVarint64(std::string_view src, size_t* offset, uint64_t* value) {
+Status GetVarint64Loop(std::string_view src, size_t* offset,
+                       uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
   size_t pos = *offset;

@@ -5,12 +5,9 @@
 #include "common/io_util.h"
 #include "common/simd_varint.h"
 #include "common/varint.h"
+#include "storage/disk_graph.h"
 
 namespace ksp {
-
-namespace {
-constexpr uint32_t kGraphMagic = 0x4B535047u;  // "KSPG" (DiskGraph format)
-}  // namespace
 
 Result<std::unique_ptr<DiskGraphAccessor>> DiskGraphAccessor::Open(
     const std::string& out_path, const std::string& in_path,
@@ -63,7 +60,7 @@ Status DiskGraphAccessor::OpenDirection(const std::string& path,
   KSP_RETURN_NOT_OK(GetFixed32(header, &pos, &page_size));
   KSP_RETURN_NOT_OK(GetFixed64(header, &pos, &n));
   KSP_RETURN_NOT_OK(GetFixed64(header, &pos, num_edges));
-  if (magic != kGraphMagic) {
+  if (magic != DiskGraph::kMagic) {
     return CorruptionAt(path, 0, "bad graph magic");
   }
   if (page_size != pool->page_size()) {
@@ -101,8 +98,8 @@ Status DiskGraphAccessor::OpenDirection(const std::string& path,
   KSP_RETURN_NOT_OK(dir->file->Read(file_size - 4, 4, &footer));
   size_t fpos = 0;
   uint32_t fmagic = 0;
-  if (footer.size() != 4 ||
-      !GetFixed32(footer, &fpos, &fmagic).ok() || fmagic != kGraphMagic) {
+  if (footer.size() != 4 || !GetFixed32(footer, &fpos, &fmagic).ok() ||
+      fmagic != DiskGraph::kMagic) {
     return CorruptionAt(path, file_size - 4, "bad graph footer");
   }
 
@@ -118,18 +115,22 @@ std::span<const VertexId> DiskGraphAccessor::Decode(
   if (!c->status.ok()) return {};
   const uint64_t begin = dir.offsets[v];
   const uint64_t length = dir.offsets[v + 1] - begin;
-  Status st =
-      pool_->ReadRange(dir.file_id, begin, length, &c->buf, &c->io);
+  // `page` pins the frame a one-page record is decoded from; it is
+  // released on return, before this cursor's next fetch.
+  SharedBufferPool::PageRef page;
+  std::string_view record;
+  Status st = pool_->ReadRange(dir.file_id, begin, length, &page, &c->buf,
+                               &record, &c->io);
   if (st.ok()) {
     size_t pos = 0;
     uint64_t count = 0;
-    st = GetVarint64(c->buf, &pos, &count);
+    st = GetVarint64(record, &pos, &count);
     if (st.ok() && count > length - pos) {
       st = Status::Corruption("neighbour count exceeds record");
     }
     if (st.ok()) {
       scratch->reserve(count);
-      st = DecodeVarintDeltas(c->buf, &pos, count, num_vertices_,
+      st = DecodeVarintDeltas(record, &pos, count, num_vertices_,
                               "neighbour id out of range", scratch);
     }
   }
@@ -196,17 +197,21 @@ Status DiskPostingsAccessor::Fetch(TermId term,
   KSP_RETURN_NOT_OK(index_->PostingRange(term, &begin, &end));
   if (end == begin) return Status::OK();
 
-  std::string buf;
-  KSP_RETURN_NOT_OK(pool_->ReadRange(
-      file_id_, index_->blob_offset() + begin, end - begin, &buf, io));
+  SharedBufferPool::PageRef page;
+  std::string scratch;
+  std::string_view list;
+  KSP_RETURN_NOT_OK(pool_->ReadRange(file_id_,
+                                     index_->blob_offset() + begin,
+                                     end - begin, &page, &scratch, &list,
+                                     io));
   size_t pos = 0;
   uint64_t count = 0;
-  KSP_RETURN_NOT_OK(GetVarint64(buf, &pos, &count));
-  if (count > buf.size() - pos) {
+  KSP_RETURN_NOT_OK(GetVarint64(list, &pos, &count));
+  if (count > list.size() - pos) {
     return Status::Corruption("posting count exceeds record");
   }
   backing->reserve(count);
-  KSP_RETURN_NOT_OK(DecodeVarintDeltas(buf, &pos, count, kVarintNoLimit,
+  KSP_RETURN_NOT_OK(DecodeVarintDeltas(list, &pos, count, kVarintNoLimit,
                                        nullptr, backing));
   *view = {backing->data(), backing->size()};
   return Status::OK();

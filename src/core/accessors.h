@@ -18,8 +18,10 @@
 namespace ksp {
 
 /// Per-thread scratch for GraphAccessor expansions. Disk accessors
-/// decode adjacency records into it and accumulate page-I/O counters;
-/// the memory accessor returns CSR spans and leaves it untouched.
+/// decode adjacency records into it (a record inside one page straight
+/// from the pinned frame, one spanning pages via `buf`) and accumulate
+/// page-I/O counters; the memory accessor returns CSR spans and leaves
+/// it untouched.
 /// `status` is sticky: expansion loops stay branch-free and callers
 /// check it once per BFS (an error also yields an empty span, so a BFS
 /// terminates promptly after a failure).

@@ -209,18 +209,14 @@ void QueryExecutor::FoldIo(const PageIoCounters& io, QueryStats* stats) {
   if (io.IsZero()) return;
   if (stats != nullptr) stats->AddPageIo(io);
   if (QueryTrace* trace = active_trace(); trace != nullptr) {
-    trace->AddChildTime(TracePhase::kPageIo, io.micros, io.Fetches());
+    trace->AddChildTime(TracePhase::kPageIo, io.RoundedMicros(),
+                        io.Fetches());
   }
 }
 
 void QueryExecutor::FoldIoDelta(const PageIoCounters& cumulative,
                                 PageIoCounters* folded, QueryStats* stats) {
-  PageIoCounters delta;
-  delta.hits = cumulative.hits - folded->hits;
-  delta.misses = cumulative.misses - folded->misses;
-  delta.evictions = cumulative.evictions - folded->evictions;
-  delta.micros = cumulative.micros - folded->micros;
-  FoldIo(delta, stats);
+  FoldIo(cumulative.Since(*folded), stats);
   *folded = cumulative;
 }
 

@@ -38,11 +38,7 @@ struct AlphaQueueOrder {
 /// each delta lands in the trace exactly once.
 PageIoCounters TakeIoDelta(const PageIoCounters& cumulative,
                            PageIoCounters* snapshot) {
-  PageIoCounters delta;
-  delta.hits = cumulative.hits - snapshot->hits;
-  delta.misses = cumulative.misses - snapshot->misses;
-  delta.evictions = cumulative.evictions - snapshot->evictions;
-  delta.micros = cumulative.micros - snapshot->micros;
+  const PageIoCounters delta = cumulative.Since(*snapshot);
   *snapshot = cumulative;
   return delta;
 }
@@ -185,7 +181,7 @@ Status IntraQueryPipeline::ProduceSpatialFirst() {
       span.AddItems(fetched);
       const PageIoCounters delta = TakeIoDelta(iterator.io(), &io_snapshot);
       if (ptrace != nullptr && !delta.IsZero()) {
-        ptrace->AddChildTime(TracePhase::kPageIo, delta.micros,
+        ptrace->AddChildTime(TracePhase::kPageIo, delta.RoundedMicros(),
                              delta.Fetches());
       }
       producer_cursor_.io.Add(delta);
@@ -230,7 +226,7 @@ Status IntraQueryPipeline::ProduceAlphaOrdered() {
     const PageIoCounters delta = TakeIoDelta(producer_cursor_.io,
                                              &io_snapshot);
     if (ptrace != nullptr && !delta.IsZero()) {
-      ptrace->AddChildTime(TracePhase::kPageIo, delta.micros,
+      ptrace->AddChildTime(TracePhase::kPageIo, delta.RoundedMicros(),
                            delta.Fetches());
     }
   };

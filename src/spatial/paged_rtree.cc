@@ -170,9 +170,14 @@ Status PagedRTree::ReadNode(uint32_t id, SpatialCursor* cursor,
   }
   const uint64_t slot_offset =
       pages_offset_ + static_cast<uint64_t>(id) * node_stride_;
+  // A one-page slot is read straight from the pinned frame; `page` is
+  // released on return, before the cursor's next fetch.
+  SharedBufferPool::PageRef page;
+  std::string_view slot_bytes;
   KSP_RETURN_NOT_OK(pool_->ReadRange(file_id_, slot_offset, node_stride_,
-                                     &cursor->buf, &cursor->io));
-  const char* slot = cursor->buf.data();
+                                     &page, &cursor->buf, &slot_bytes,
+                                     &cursor->io));
+  const char* slot = slot_bytes.data();
   uint32_t num_entries = 0;
   std::memcpy(&num_entries, slot + 4, sizeof(num_entries));
   if (num_entries > max_entries_) {

@@ -152,8 +152,9 @@ struct SpatialNodeRef {
 };
 
 /// Per-traversal scratch for SpatialAccessor reads: the disk accessor
-/// decodes node pages into it (and accumulates page-I/O counters); the
-/// memory accessor leaves it untouched. One cursor per thread.
+/// copies node entries into it (a node slot spanning pages is first
+/// assembled in `buf`) and accumulates page-I/O counters; the memory
+/// accessor leaves it untouched. One cursor per thread.
 class SpatialCursor {
  public:
   std::vector<RTree::Entry> entries;

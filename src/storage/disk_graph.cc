@@ -4,11 +4,11 @@
 #include <span>
 
 #include "common/varint.h"
+#include "storage/paged_file.h"
 
 namespace ksp {
 
 namespace {
-constexpr uint32_t kMagic = 0x4B535047u;  // "KSPG"
 
 /// Writes one adjacency file; `neighbors_of` selects the edge
 /// direction (out-adjacency or the transpose). Neighbour lists must be
@@ -17,11 +17,14 @@ Status WriteAdjacencyFile(
     const Graph& graph, const std::string& path, uint32_t page_size,
     const std::function<std::span<const VertexId>(VertexId)>&
         neighbors_of) {
+  if (page_size == 0) {
+    return Status::InvalidArgument("page_size must be positive");
+  }
   KSP_ASSIGN_OR_RETURN(auto writer, PagedFileWriter::Create(path));
 
   const VertexId n = graph.num_vertices();
   std::string header;
-  PutFixed32(&header, kMagic);
+  PutFixed32(&header, DiskGraph::kMagic);
   PutFixed32(&header, page_size);
   PutFixed64(&header, n);
   PutFixed64(&header, graph.num_edges());
@@ -52,7 +55,7 @@ Status WriteAdjacencyFile(
   KSP_RETURN_NOT_OK(writer->Append(data));
 
   std::string footer;
-  PutFixed32(&footer, kMagic);
+  PutFixed32(&footer, DiskGraph::kMagic);
   KSP_RETURN_NOT_OK(writer->Append(footer));
   return writer->Close();
 }
@@ -72,139 +75,6 @@ Status DiskGraph::WriteTranspose(const Graph& graph,
   return WriteAdjacencyFile(
       graph, path, page_size,
       [&graph](VertexId v) { return graph.InNeighbors(v); });
-}
-
-Result<std::unique_ptr<DiskGraph>> DiskGraph::Open(const std::string& path,
-                                                   size_t pool_pages,
-                                                   uint32_t page_size) {
-  KSP_ASSIGN_OR_RETURN(auto file, PagedFile::Open(path, page_size));
-  auto graph = std::unique_ptr<DiskGraph>(new DiskGraph());
-  graph->file_ = std::move(file);
-  graph->pool_ =
-      std::make_unique<BufferPool>(graph->file_.get(), pool_pages);
-
-  // Header.
-  std::string header;
-  KSP_RETURN_NOT_OK(graph->ReadBytes(0, 24, &header));
-  size_t pos = 0;
-  uint32_t magic = 0;
-  uint32_t stored_page_size = 0;
-  uint64_t n = 0;
-  KSP_RETURN_NOT_OK(GetFixed32(header, &pos, &magic));
-  KSP_RETURN_NOT_OK(GetFixed32(header, &pos, &stored_page_size));
-  KSP_RETURN_NOT_OK(GetFixed64(header, &pos, &n));
-  KSP_RETURN_NOT_OK(GetFixed64(header, &pos, &graph->num_edges_));
-  if (magic != kMagic) return Status::Corruption("bad graph magic: " + path);
-  if (stored_page_size != page_size) {
-    return Status::InvalidArgument("page size mismatch with file");
-  }
-  graph->num_vertices_ = static_cast<VertexId>(n);
-
-  // Offset table (kept in memory, like the paper's vertex lookup table).
-  std::string table;
-  KSP_RETURN_NOT_OK(graph->ReadBytes(24, (n + 1) * 8ULL, &table));
-  graph->offsets_.resize(n + 1);
-  size_t tpos = 0;
-  for (uint64_t v = 0; v <= n; ++v) {
-    KSP_RETURN_NOT_OK(GetFixed64(table, &tpos, &graph->offsets_[v]));
-  }
-  graph->data_begin_ = 24 + (n + 1) * 8ULL;
-  if (!graph->offsets_.empty() &&
-      graph->offsets_.front() != graph->data_begin_) {
-    return Status::Corruption("offset table inconsistent");
-  }
-
-  // Footer check.
-  std::string footer;
-  KSP_RETURN_NOT_OK(
-      graph->ReadBytes(graph->file_->file_size() - 4, 4, &footer));
-  size_t fpos = 0;
-  uint32_t fmagic = 0;
-  KSP_RETURN_NOT_OK(GetFixed32(footer, &fpos, &fmagic));
-  if (fmagic != kMagic) {
-    return Status::Corruption("bad graph footer: " + path);
-  }
-
-  // Decode degrees once (sequential pass through the pool).
-  graph->degrees_.resize(n);
-  std::string record;
-  for (uint64_t v = 0; v < n; ++v) {
-    uint64_t begin = graph->offsets_[v];
-    uint64_t length =
-        std::min<uint64_t>(10, graph->offsets_[v + 1] - begin);
-    KSP_RETURN_NOT_OK(graph->ReadBytes(begin, length, &record));
-    size_t rpos = 0;
-    uint64_t degree = 0;
-    KSP_RETURN_NOT_OK(GetVarint64(record, &rpos, &degree));
-    graph->degrees_[v] = static_cast<uint32_t>(degree);
-  }
-  return graph;
-}
-
-Status DiskGraph::ReadBytes(uint64_t begin, uint64_t length,
-                            std::string* out) const {
-  out->clear();
-  out->reserve(length);
-  const uint32_t page_size = file_->page_size();
-  uint64_t remaining = length;
-  uint64_t cursor = begin;
-  while (remaining > 0) {
-    uint64_t page_id = cursor / page_size;
-    uint64_t page_offset = cursor % page_size;
-    KSP_ASSIGN_OR_RETURN(std::string_view page, pool_->Fetch(page_id));
-    if (page_offset >= page.size()) {
-      return Status::Corruption("read past end of page");
-    }
-    uint64_t take =
-        std::min<uint64_t>(remaining, page.size() - page_offset);
-    out->append(page.substr(page_offset, take));
-    cursor += take;
-    remaining -= take;
-  }
-  return Status::OK();
-}
-
-uint32_t DiskGraph::OutDegree(VertexId v) const { return degrees_[v]; }
-
-Status DiskGraph::OutNeighbors(VertexId v,
-                               std::vector<VertexId>* out) const {
-  std::string record;
-  KSP_RETURN_NOT_OK(
-      ReadBytes(RecordBegin(v), RecordEnd(v) - RecordBegin(v), &record));
-  size_t pos = 0;
-  uint64_t count = 0;
-  KSP_RETURN_NOT_OK(GetVarint64(record, &pos, &count));
-  uint64_t prev = 0;
-  out->reserve(out->size() + count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t delta = 0;
-    KSP_RETURN_NOT_OK(GetVarint64(record, &pos, &delta));
-    prev = (i == 0) ? delta : prev + delta;
-    out->push_back(static_cast<VertexId>(prev));
-  }
-  return Status::OK();
-}
-
-Status DiskGraph::Bfs(
-    VertexId root,
-    std::vector<std::pair<VertexId, uint32_t>>* visited) const {
-  std::vector<bool> seen(num_vertices_, false);
-  visited->clear();
-  visited->emplace_back(root, 0);
-  seen[root] = true;
-  std::vector<VertexId> neighbors;
-  for (size_t qi = 0; qi < visited->size(); ++qi) {
-    auto [v, dist] = (*visited)[qi];
-    neighbors.clear();
-    KSP_RETURN_NOT_OK(OutNeighbors(v, &neighbors));
-    for (VertexId w : neighbors) {
-      if (!seen[w]) {
-        seen[w] = true;
-        visited->emplace_back(w, dist + 1);
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace ksp

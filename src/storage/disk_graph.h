@@ -1,23 +1,20 @@
 #ifndef KSP_STORAGE_DISK_GRAPH_H_
 #define KSP_STORAGE_DISK_GRAPH_H_
 
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/result.h"
-#include "common/types.h"
+#include "common/status.h"
 #include "rdf/graph.h"
-#include "storage/buffer_pool.h"
-#include "storage/paged_file.h"
 
 namespace ksp {
 
-/// Disk-resident adjacency store: the "disk-based graph representation
-/// for larger-scale data" of §3 footnote 1. The adjacency region holds,
-/// per vertex, a varint count followed by varint-delta-encoded neighbour
-/// ids; an in-memory offset table gives each vertex's start byte; pages
-/// flow through an LRU BufferPool so BFS over hot regions avoids IO.
+/// Writer of the disk-resident adjacency store: the "disk-based graph
+/// representation for larger-scale data" of §3 footnote 1. The
+/// adjacency region holds, per vertex, a varint count followed by
+/// varint-delta-encoded neighbour ids; an offset table gives each
+/// vertex's start byte. DiskGraphAccessor (core/accessors.h) reads the
+/// files through the shared buffer pool.
 ///
 /// File layout:
 ///   [magic u32][page_size u32][num_vertices u64][num_edges u64]
@@ -26,61 +23,21 @@ namespace ksp {
 ///   [magic u32]
 class DiskGraph {
  public:
-  static constexpr uint32_t kDefaultPoolPages = 256;
+  static constexpr uint32_t kMagic = 0x4B535047u;  // "KSPG"
+  static constexpr uint32_t kDefaultPageSize = 4096;
 
-  /// Serializes the out-adjacency of `graph` to `path`.
+  /// Serializes the out-adjacency of `graph` to `path`. `page_size` is
+  /// recorded for the reader, whose pool must use the same page size;
+  /// 0 is InvalidArgument.
   static Status Write(const Graph& graph, const std::string& path,
-                      uint32_t page_size = PagedFile::kDefaultPageSize);
+                      uint32_t page_size = kDefaultPageSize);
 
   /// Serializes the in-adjacency (transpose) of `graph` to `path`, in
   /// the same file format: record v holds InNeighbors(v). Backward
   /// expansion (TA) and undirected BFS read this file so the disk
   /// backend sees the exact neighbour order of the in-memory CSR.
-  static Status WriteTranspose(
-      const Graph& graph, const std::string& path,
-      uint32_t page_size = PagedFile::kDefaultPageSize);
-
-  /// Opens a graph file with an LRU pool of `pool_pages` pages.
-  static Result<std::unique_ptr<DiskGraph>> Open(
-      const std::string& path, size_t pool_pages = kDefaultPoolPages,
-      uint32_t page_size = PagedFile::kDefaultPageSize);
-
-  VertexId num_vertices() const { return num_vertices_; }
-  uint64_t num_edges() const { return num_edges_; }
-
-  /// Appends v's out-neighbours to `*out` (ascending order, as stored).
-  Status OutNeighbors(VertexId v, std::vector<VertexId>* out) const;
-
-  uint32_t OutDegree(VertexId v) const;
-
-  /// Full BFS from `root` honoring the buffer pool; returns vertices in
-  /// visiting order with distances. Exercises the disk path end-to-end.
-  Status Bfs(VertexId root,
-             std::vector<std::pair<VertexId, uint32_t>>* visited) const;
-
-  BufferPool& buffer_pool() const { return *pool_; }
-  const PagedFile& file() const { return *file_; }
-
- private:
-  DiskGraph() = default;
-
-  /// Byte range of v's adjacency record.
-  uint64_t RecordBegin(VertexId v) const { return offsets_[v]; }
-  uint64_t RecordEnd(VertexId v) const { return offsets_[v + 1]; }
-
-  /// Reads `length` bytes starting at absolute byte `begin`, spanning
-  /// pages through the pool.
-  Status ReadBytes(uint64_t begin, uint64_t length, std::string* out) const;
-
-  std::unique_ptr<PagedFile> file_;
-  mutable std::unique_ptr<BufferPool> pool_;
-  VertexId num_vertices_ = 0;
-  uint64_t num_edges_ = 0;
-  uint64_t data_begin_ = 0;
-  /// Absolute byte offsets of each vertex's record (size n+1).
-  std::vector<uint64_t> offsets_;
-  /// Degrees, decoded once at open (count varints are cheap to keep).
-  std::vector<uint32_t> degrees_;
+  static Status WriteTranspose(const Graph& graph, const std::string& path,
+                               uint32_t page_size = kDefaultPageSize);
 };
 
 }  // namespace ksp

@@ -2,47 +2,6 @@
 
 namespace ksp {
 
-PagedFile::~PagedFile() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Result<std::unique_ptr<PagedFile>> PagedFile::Open(const std::string& path,
-                                                   uint32_t page_size) {
-  if (page_size == 0) {
-    return Status::InvalidArgument("page_size must be positive");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  auto file = std::unique_ptr<PagedFile>(new PagedFile());
-  file->file_ = f;
-  file->page_size_ = page_size;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError("seek failed: " + path);
-  }
-  long size = std::ftell(f);
-  if (size < 0) return Status::IOError("tell failed: " + path);
-  file->file_size_ = static_cast<uint64_t>(size);
-  return file;
-}
-
-Status PagedFile::ReadPage(uint64_t page_id, std::string* buffer) const {
-  const uint64_t begin = page_id * page_size_;
-  if (begin >= file_size_) {
-    return Status::OutOfRange("page beyond end of file");
-  }
-  const uint64_t length =
-      std::min<uint64_t>(page_size_, file_size_ - begin);
-  buffer->resize(length);
-  if (std::fseek(file_, static_cast<long>(begin), SEEK_SET) != 0) {
-    return Status::IOError("seek failed");
-  }
-  if (std::fread(buffer->data(), 1, length, file_) != length) {
-    return Status::IOError("short page read");
-  }
-  ++reads_;
-  return Status::OK();
-}
-
 Result<std::unique_ptr<PagedFileWriter>> PagedFileWriter::Create(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");

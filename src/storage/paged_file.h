@@ -5,52 +5,17 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
 
 namespace ksp {
 
-/// Fixed-size-page read-only file, the unit of IO for the disk-resident
-/// graph (§3 footnote 1 / §8 of the paper). Pages are addressed by id;
-/// the last page may be short.
-class PagedFile {
- public:
-  static constexpr uint32_t kDefaultPageSize = 4096;
-
-  ~PagedFile();
-
-  PagedFile(const PagedFile&) = delete;
-  PagedFile& operator=(const PagedFile&) = delete;
-
-  /// Opens an existing file for page reads.
-  static Result<std::unique_ptr<PagedFile>> Open(
-      const std::string& path, uint32_t page_size = kDefaultPageSize);
-
-  /// Reads page `page_id` into `buffer` (resized to the page's length,
-  /// which is page_size except possibly for the last page).
-  Status ReadPage(uint64_t page_id, std::string* buffer) const;
-
-  uint32_t page_size() const { return page_size_; }
-  uint64_t num_pages() const {
-    return (file_size_ + page_size_ - 1) / page_size_;
-  }
-  uint64_t file_size() const { return file_size_; }
-
-  /// Total ReadPage calls (the physical-IO counter).
-  uint64_t reads() const { return reads_; }
-
- private:
-  PagedFile() = default;
-
-  std::FILE* file_ = nullptr;
-  uint32_t page_size_ = kDefaultPageSize;
-  uint64_t file_size_ = 0;
-  mutable uint64_t reads_ = 0;
-};
-
-/// Sequentially writes a paged file.
+/// Sequentially writes a paged file, the unit of IO for the
+/// disk-resident graph (§3 footnote 1 / §8 of the paper). Page
+/// boundaries are the reader's concern: the shared buffer pool splits
+/// the file into fixed-size pages, the last of which may be short.
 class PagedFileWriter {
  public:
   static Result<std::unique_ptr<PagedFileWriter>> Create(
@@ -61,7 +26,7 @@ class PagedFileWriter {
   PagedFileWriter(const PagedFileWriter&) = delete;
   PagedFileWriter& operator=(const PagedFileWriter&) = delete;
 
-  /// Appends raw bytes (page boundaries are the reader's concern).
+  /// Appends raw bytes.
   Status Append(std::string_view data);
 
   /// Current byte offset (== bytes appended).

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "core/database.h"
@@ -51,12 +52,20 @@ void ExpectMatchesOracle(
   }
 }
 
+// gtest has no printer for Config, so it names each Sweeps case after
+// the raw bytes of its parameter. Those bytes used to include three
+// uninitialised padding bytes after `dbpedia_like`, which made the case
+// names differ from build to build and even from run to run. The padding
+// is now an explicit field holding the bytes the cases were registered
+// under, so every case keeps one fixed name. The field is not read.
 struct Config {
   bool dbpedia_like;
+  uint8_t name_bytes[3];
   uint32_t num_keywords;
   uint32_t k;
   uint32_t alpha;
 };
+static_assert(sizeof(Config) == 16, "case names print all 16 bytes");
 
 class EquivalenceTest : public ::testing::TestWithParam<Config> {};
 
@@ -112,9 +121,12 @@ TEST_P(EquivalenceTest, AllAlgorithmsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, EquivalenceTest,
-    ::testing::Values(Config{true, 3, 5, 2}, Config{true, 5, 1, 3},
-                      Config{true, 1, 10, 1}, Config{false, 3, 5, 2},
-                      Config{false, 5, 3, 3}, Config{false, 8, 2, 2}));
+    ::testing::Values(Config{true, {0xFF, 0x48, 0x00}, 3, 5, 2},
+                      Config{true, {0x00, 0x00, 0x00}, 5, 1, 3},
+                      Config{true, {0x00, 0x00, 0x00}, 1, 10, 1},
+                      Config{false, {0x00, 0x01, 0x1B}, 3, 5, 2},
+                      Config{false, {0xDA, 0x48, 0x00}, 5, 3, 3},
+                      Config{false, {0x00, 0x00, 0x00}, 8, 2, 2}));
 
 TEST(EquivalenceWeightedSumTest, AlgorithmsAgreeUnderEquation1) {
   auto profile = SyntheticProfile::DBpediaLike(800);

@@ -245,7 +245,7 @@ TEST(SimdVarintPropertyTest, DiskPostingsReadPatternInvariantAcrossIsas) {
         const Status st = (*accessor)->Fetch(t, &backing, &view, &io);
         EXPECT_TRUE(st.ok()) << st.ToString();
         pattern.postings.emplace_back(view.begin(), view.end());
-        io.micros = 0;  // Timing is not part of the pattern.
+        io.nanos = 0;  // Timing is not part of the pattern.
         pattern.io.push_back(io);
       }
     }

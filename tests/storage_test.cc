@@ -1,23 +1,32 @@
-// Disk-resident graph substrate: paged file, LRU buffer pool, and the
-// varint-encoded adjacency store, validated against the in-memory Graph.
+// Disk-resident graph substrate: the paged-file writer and the
+// varint-encoded adjacency store, read back through DiskGraphAccessor
+// and the shared buffer pool and validated against the in-memory Graph.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "common/rng.h"
+#include "core/accessors.h"
 #include "datagen/synthetic.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk_graph.h"
 #include "storage/paged_file.h"
+#include "storage/shared_buffer_pool.h"
 
 namespace ksp {
 namespace {
 
+constexpr uint32_t kPageSizes[] = {64, 128, 256};
+
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (name + "." + std::to_string(::getpid())))
+      .string();
 }
 
 class PagedFileTest : public ::testing::Test {
@@ -32,77 +41,48 @@ class PagedFileTest : public ::testing::Test {
     ASSERT_TRUE((*writer)->Append(data).ok());
     EXPECT_EQ((*writer)->offset(), 160u);
     ASSERT_TRUE((*writer)->Close().ok());
+    auto file = DefaultFileSystem()->NewRandomAccessFile(path_);
+    ASSERT_TRUE(file.ok());
+    file_ = std::move(*file);
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string path_;
+  std::unique_ptr<RandomAccessFile> file_;
 };
 
 TEST_F(PagedFileTest, ReadsPagesIncludingShortLast) {
-  auto file = PagedFile::Open(path_, 64);
-  ASSERT_TRUE(file.ok());
-  EXPECT_EQ((*file)->num_pages(), 3u);
-  EXPECT_EQ((*file)->file_size(), 160u);
-  std::string page;
-  ASSERT_TRUE((*file)->ReadPage(0, &page).ok());
-  EXPECT_EQ(page.size(), 64u);
-  EXPECT_EQ(page[1], 1);
-  ASSERT_TRUE((*file)->ReadPage(2, &page).ok());
-  EXPECT_EQ(page.size(), 32u);  // Short tail.
-  EXPECT_EQ(static_cast<unsigned char>(page[0]), 128u);
-  EXPECT_EQ((*file)->reads(), 2u);
+  SharedBufferPool pool(/*budget_bytes=*/1 << 20, /*page_size=*/64);
+  const uint32_t id = pool.RegisterFile(file_.get());
+  SharedBufferPool::PageRef page;
+  ASSERT_TRUE(pool.Fetch(id, 0, &page, nullptr).ok());
+  EXPECT_EQ(page.data().size(), 64u);
+  EXPECT_EQ(page.data()[1], 1);
+  ASSERT_TRUE(pool.Fetch(id, 2, &page, nullptr).ok());
+  EXPECT_EQ(page.data().size(), 32u);  // Short tail.
+  EXPECT_EQ(static_cast<unsigned char>(page.data()[0]), 128u);
+  EXPECT_EQ(pool.GetStats().misses, 2u);
 }
 
-TEST_F(PagedFileTest, PageBeyondEndIsOutOfRange) {
-  auto file = PagedFile::Open(path_, 64);
-  ASSERT_TRUE(file.ok());
-  std::string page;
-  EXPECT_TRUE((*file)->ReadPage(3, &page).IsOutOfRange());
+TEST_F(PagedFileTest, PageBeyondEndIsCorruption) {
+  SharedBufferPool pool(/*budget_bytes=*/1 << 20, /*page_size=*/64);
+  const uint32_t id = pool.RegisterFile(file_.get());
+  SharedBufferPool::PageRef page;
+  EXPECT_TRUE(pool.Fetch(id, 3, &page, nullptr).IsCorruption());
+  EXPECT_FALSE(page.valid());
 }
 
 TEST_F(PagedFileTest, MissingFileIsIOError) {
-  auto file = PagedFile::Open(TempPath("missing.bin"), 64);
-  EXPECT_TRUE(file.status().IsIOError());
+  SharedBufferPool pool(/*budget_bytes=*/1 << 20, /*page_size=*/64);
+  const std::string missing = TempPath("ksp_missing.bin");
+  auto accessor = DiskGraphAccessor::Open(missing, missing, &pool);
+  EXPECT_TRUE(accessor.status().IsIOError());
 }
 
 TEST_F(PagedFileTest, ZeroPageSizeRejected) {
-  auto file = PagedFile::Open(path_, 0);
-  EXPECT_TRUE(file.status().IsInvalidArgument());
-}
-
-TEST_F(PagedFileTest, BufferPoolCachesAndEvicts) {
-  auto file = PagedFile::Open(path_, 64);
-  ASSERT_TRUE(file.ok());
-  BufferPool pool(file->get(), 2);
-
-  ASSERT_TRUE(pool.Fetch(0).ok());
-  ASSERT_TRUE(pool.Fetch(0).ok());  // Hit.
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
-
-  ASSERT_TRUE(pool.Fetch(1).ok());
-  ASSERT_TRUE(pool.Fetch(2).ok());  // Evicts page 0 (LRU).
-  EXPECT_EQ(pool.evictions(), 1u);
-  ASSERT_TRUE(pool.Fetch(0).ok());  // Miss again.
-  EXPECT_EQ(pool.misses(), 4u);
-  EXPECT_GT(pool.HitRate(), 0.0);
-  EXPECT_EQ((*file)->reads(), pool.misses());
-
-  pool.Clear();
-  EXPECT_EQ(pool.cached_pages(), 0u);
-}
-
-TEST_F(PagedFileTest, BufferPoolLruOrderOnHit) {
-  auto file = PagedFile::Open(path_, 64);
-  ASSERT_TRUE(file.ok());
-  BufferPool pool(file->get(), 2);
-  ASSERT_TRUE(pool.Fetch(0).ok());
-  ASSERT_TRUE(pool.Fetch(1).ok());
-  ASSERT_TRUE(pool.Fetch(0).ok());  // Refresh 0 to MRU.
-  ASSERT_TRUE(pool.Fetch(2).ok());  // Must evict 1, not 0.
-  uint64_t misses_before = pool.misses();
-  ASSERT_TRUE(pool.Fetch(0).ok());
-  EXPECT_EQ(pool.misses(), misses_before);  // Still cached.
+  GraphBuilder builder;
+  const Graph graph = builder.Finish(3);
+  EXPECT_TRUE(DiskGraph::Write(graph, path_, 0).IsInvalidArgument());
 }
 
 Graph MakeRandomGraph(uint32_t n, int edges, uint64_t seed) {
@@ -115,44 +95,87 @@ Graph MakeRandomGraph(uint32_t n, int edges, uint64_t seed) {
   return builder.Finish(n);
 }
 
-TEST(DiskGraphTest, AdjacencyMatchesMemoryGraph) {
-  Graph graph = MakeRandomGraph(500, 3000, 99);
-  std::string path = TempPath("ksp_disk_graph.bin");
-  ASSERT_TRUE(DiskGraph::Write(graph, path, /*page_size=*/256).ok());
-  auto disk = DiskGraph::Open(path, /*pool_pages=*/4, /*page_size=*/256);
-  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-  EXPECT_EQ((*disk)->num_vertices(), graph.num_vertices());
-  EXPECT_EQ((*disk)->num_edges(), graph.num_edges());
+/// Both adjacency files of a graph, read through a pool of `budget`
+/// bytes. The pool is declared first so it outlives the accessor.
+struct DiskCopy {
+  std::string out_path;
+  std::string in_path;
+  std::unique_ptr<SharedBufferPool> pool;
+  std::unique_ptr<DiskGraphAccessor> accessor;
 
-  std::vector<VertexId> neighbors;
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    neighbors.clear();
-    ASSERT_TRUE((*disk)->OutNeighbors(v, &neighbors).ok());
-    auto expected = graph.OutNeighbors(v);
-    ASSERT_EQ(neighbors.size(), expected.size()) << v;
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      EXPECT_EQ(neighbors[i], expected[i]);
-    }
-    EXPECT_EQ((*disk)->OutDegree(v), graph.OutDegree(v));
+  ~DiskCopy() {
+    accessor.reset();
+    std::remove(out_path.c_str());
+    std::remove(in_path.c_str());
   }
-  std::remove(path.c_str());
+};
+
+void WriteDiskCopy(const Graph& graph, const std::string& name,
+                   uint32_t page_size, uint64_t budget, DiskCopy* copy) {
+  copy->out_path = TempPath(name + ".out");
+  copy->in_path = TempPath(name + ".in");
+  ASSERT_TRUE(DiskGraph::Write(graph, copy->out_path, page_size).ok());
+  ASSERT_TRUE(
+      DiskGraph::WriteTranspose(graph, copy->in_path, page_size).ok());
+  copy->pool = std::make_unique<SharedBufferPool>(budget, page_size);
+  auto accessor = DiskGraphAccessor::Open(copy->out_path, copy->in_path,
+                                          copy->pool.get());
+  ASSERT_TRUE(accessor.ok()) << accessor.status().ToString();
+  copy->accessor = std::move(*accessor);
+}
+
+/// Compares every out- and in-adjacency record with the CSR and returns
+/// how many records were assembled from several pages (the cursor's
+/// scratch buffer is non-empty only after such a read).
+size_t ExpectAdjacencyMatches(const Graph& graph, const DiskCopy& copy) {
+  EXPECT_EQ(copy.accessor->num_vertices(), graph.num_vertices());
+  EXPECT_EQ(copy.accessor->num_edges(), graph.num_edges());
+  GraphCursor cursor;
+  size_t spanning = 0;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    const auto out = copy.accessor->OutNeighbors(v, &cursor);
+    if (!cursor.buf.empty()) ++spanning;
+    const auto want_out = graph.OutNeighbors(v);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), want_out.begin(),
+                           want_out.end()))
+        << "out " << v;
+    const auto in = copy.accessor->InNeighbors(v, &cursor);
+    if (!cursor.buf.empty()) ++spanning;
+    const auto want_in = graph.InNeighbors(v);
+    EXPECT_TRUE(
+        std::equal(in.begin(), in.end(), want_in.begin(), want_in.end()))
+        << "in " << v;
+    // The one-page path must not keep its pin past the decode.
+    EXPECT_EQ(copy.pool->GetStats().pinned_pages, 0u);
+  }
+  EXPECT_TRUE(cursor.status.ok()) << cursor.status.ToString();
+  return spanning;
+}
+
+TEST(DiskGraphTest, AdjacencyMatchesMemoryGraph) {
+  const Graph graph = MakeRandomGraph(500, 3000, 99);
+  for (const uint32_t page_size : kPageSizes) {
+    SCOPED_TRACE(page_size);
+    DiskCopy copy;
+    WriteDiskCopy(graph, "ksp_disk_graph", page_size,
+                  /*budget=*/4 * page_size, &copy);
+    const size_t spanning = ExpectAdjacencyMatches(graph, copy);
+    // Both the single-page path and the spanning fallback ran.
+    EXPECT_GT(spanning, 0u);
+    EXPECT_LT(spanning, 2u * graph.num_vertices());
+  }
 }
 
 TEST(DiskGraphTest, BfsMatchesMemoryBfs) {
-  Graph graph = MakeRandomGraph(300, 1200, 17);
-  std::string path = TempPath("ksp_disk_graph_bfs.bin");
-  ASSERT_TRUE(DiskGraph::Write(graph, path, 128).ok());
-  auto disk = DiskGraph::Open(path, 8, 128);
-  ASSERT_TRUE(disk.ok());
-
-  // Memory BFS oracle.
-  auto memory_bfs = [&](VertexId root) {
-    std::vector<std::pair<VertexId, uint32_t>> visited{{root, 0}};
+  const Graph graph = MakeRandomGraph(300, 1200, 17);
+  using Visit = std::vector<std::pair<VertexId, uint32_t>>;
+  auto bfs = [&](VertexId root, auto&& neighbors_of) {
+    Visit visited{{root, 0}};
     std::vector<bool> seen(graph.num_vertices(), false);
     seen[root] = true;
     for (size_t qi = 0; qi < visited.size(); ++qi) {
-      auto [v, d] = visited[qi];
-      for (VertexId w : graph.OutNeighbors(v)) {
+      const auto [v, d] = visited[qi];
+      for (VertexId w : neighbors_of(v)) {
         if (!seen[w]) {
           seen[w] = true;
           visited.emplace_back(w, d + 1);
@@ -161,71 +184,89 @@ TEST(DiskGraphTest, BfsMatchesMemoryBfs) {
     }
     return visited;
   };
+  auto memory = [&](VertexId v) { return graph.OutNeighbors(v); };
 
-  for (VertexId root : {0u, 7u, 299u}) {
-    std::vector<std::pair<VertexId, uint32_t>> visited;
-    ASSERT_TRUE((*disk)->Bfs(root, &visited).ok());
-    EXPECT_EQ(visited, memory_bfs(root));
+  for (const uint32_t page_size : kPageSizes) {
+    SCOPED_TRACE(page_size);
+    DiskCopy cold;
+    WriteDiskCopy(graph, "ksp_disk_graph_bfs", page_size,
+                  /*budget=*/8 * page_size, &cold);
+    GraphCursor cursor;
+    auto disk = [&](VertexId v) {
+      return cold.accessor->OutNeighbors(v, &cursor);
+    };
+    for (VertexId root : {0u, 7u, 299u}) {
+      EXPECT_EQ(bfs(root, disk), bfs(root, memory));
+    }
+    EXPECT_TRUE(cursor.status.ok());
+
+    // With a pool that fits both files, a repeated BFS is IO-free.
+    DiskCopy warm;
+    WriteDiskCopy(graph, "ksp_disk_graph_bfs_warm", page_size,
+                  /*budget=*/1 << 20, &warm);
+    auto warm_disk = [&](VertexId v) {
+      return warm.accessor->OutNeighbors(v, &cursor);
+    };
+    bfs(0, warm_disk);
+    const uint64_t misses_before = warm.pool->GetStats().misses;
+    EXPECT_EQ(bfs(0, warm_disk), bfs(0, memory));
+    EXPECT_EQ(warm.pool->GetStats().misses, misses_before);
   }
-  // With a pool that fits the whole file, a repeated BFS is IO-free.
-  auto warm = DiskGraph::Open(path, (*disk)->file().num_pages() + 1, 128);
-  ASSERT_TRUE(warm.ok());
-  std::vector<std::pair<VertexId, uint32_t>> visited;
-  ASSERT_TRUE((*warm)->Bfs(0, &visited).ok());
-  uint64_t misses_before = (*warm)->buffer_pool().misses();
-  ASSERT_TRUE((*warm)->Bfs(0, &visited).ok());
-  EXPECT_EQ((*warm)->buffer_pool().misses(), misses_before);
 }
 
 TEST(DiskGraphTest, EmptyGraph) {
   GraphBuilder builder;
-  Graph graph = builder.Finish(0);
-  std::string path = TempPath("ksp_disk_graph_empty.bin");
-  ASSERT_TRUE(DiskGraph::Write(graph, path, 64).ok());
-  auto disk = DiskGraph::Open(path, 2, 64);
-  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-  EXPECT_EQ((*disk)->num_vertices(), 0u);
-  std::remove(path.c_str());
+  const Graph graph = builder.Finish(0);
+  for (const uint32_t page_size : kPageSizes) {
+    DiskCopy copy;
+    WriteDiskCopy(graph, "ksp_disk_graph_empty", page_size,
+                  /*budget=*/2 * page_size, &copy);
+    ASSERT_NE(copy.accessor, nullptr);
+    EXPECT_EQ(copy.accessor->num_vertices(), 0u);
+    EXPECT_EQ(copy.accessor->num_edges(), 0u);
+  }
 }
 
 TEST(DiskGraphTest, PageSizeMismatchRejected) {
-  Graph graph = MakeRandomGraph(10, 20, 3);
-  std::string path = TempPath("ksp_disk_graph_ps.bin");
-  ASSERT_TRUE(DiskGraph::Write(graph, path, 128).ok());
-  auto disk = DiskGraph::Open(path, 2, 256);
-  EXPECT_FALSE(disk.ok());
-  EXPECT_TRUE(disk.status().IsInvalidArgument());
-  std::remove(path.c_str());
+  const Graph graph = MakeRandomGraph(10, 20, 3);
+  const std::string out_path = TempPath("ksp_disk_graph_ps.out");
+  const std::string in_path = TempPath("ksp_disk_graph_ps.in");
+  for (const uint32_t page_size : kPageSizes) {
+    ASSERT_TRUE(DiskGraph::Write(graph, out_path, page_size).ok());
+    ASSERT_TRUE(DiskGraph::WriteTranspose(graph, in_path, page_size).ok());
+    SharedBufferPool pool(/*budget_bytes=*/1 << 20, 2 * page_size);
+    auto accessor = DiskGraphAccessor::Open(out_path, in_path, &pool);
+    EXPECT_TRUE(accessor.status().IsInvalidArgument()) << page_size;
+  }
+  std::remove(out_path.c_str());
+  std::remove(in_path.c_str());
 }
 
 TEST(DiskGraphTest, CorruptHeaderRejected) {
-  std::string path = TempPath("ksp_disk_graph_corrupt.bin");
+  const std::string path = TempPath("ksp_disk_graph_corrupt.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "garbage garbage garbage garbage!";
   }
-  auto disk = DiskGraph::Open(path, 2, 64);
-  EXPECT_FALSE(disk.ok());
+  for (const uint32_t page_size : kPageSizes) {
+    SharedBufferPool pool(/*budget_bytes=*/1 << 20, page_size);
+    auto accessor = DiskGraphAccessor::Open(path, path, &pool);
+    EXPECT_TRUE(accessor.status().IsCorruption()) << page_size;
+  }
   std::remove(path.c_str());
 }
 
 TEST(DiskGraphTest, SyntheticKbGraphRoundTrip) {
   auto kb = GenerateKnowledgeBase(SyntheticProfile::YagoLike(2000));
   ASSERT_TRUE(kb.ok());
-  std::string path = TempPath("ksp_disk_graph_kb.bin");
-  ASSERT_TRUE(DiskGraph::Write((*kb)->graph(), path).ok());
-  auto disk = DiskGraph::Open(path);
-  ASSERT_TRUE(disk.ok());
-  EXPECT_EQ((*disk)->num_edges(), (*kb)->num_edges());
-  // Spot check a few vertices.
-  std::vector<VertexId> neighbors;
-  for (VertexId v = 0; v < 50; ++v) {
-    neighbors.clear();
-    ASSERT_TRUE((*disk)->OutNeighbors(v, &neighbors).ok());
-    auto expected = (*kb)->graph().OutNeighbors(v);
-    ASSERT_EQ(neighbors.size(), expected.size());
+  for (const uint32_t page_size : kPageSizes) {
+    SCOPED_TRACE(page_size);
+    DiskCopy copy;
+    WriteDiskCopy((*kb)->graph(), "ksp_disk_graph_kb", page_size,
+                  /*budget=*/16 * page_size, &copy);
+    EXPECT_EQ(copy.accessor->num_edges(), (*kb)->num_edges());
+    EXPECT_GT(ExpectAdjacencyMatches((*kb)->graph(), copy), 0u);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

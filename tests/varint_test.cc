@@ -61,6 +61,60 @@ TEST(VarintTest, RoundTripRandomSequence) {
   EXPECT_EQ(off, buf.size());
 }
 
+/// Decodes `bytes` at `start` with GetVarint64 and with the out-of-line
+/// loop; value, offset and Status must be identical. Returns the status.
+Status ExpectSameAsLoop(std::string_view bytes, size_t start) {
+  size_t fast_offset = start;
+  size_t loop_offset = start;
+  uint64_t fast_value = 0xABCDu;
+  uint64_t loop_value = 0xABCDu;
+  Status fast = GetVarint64(bytes, &fast_offset, &fast_value);
+  const Status loop = GetVarint64Loop(bytes, &loop_offset, &loop_value);
+  EXPECT_EQ(fast.ToString(), loop.ToString());
+  EXPECT_EQ(fast_offset, loop_offset);
+  EXPECT_EQ(fast_value, loop_value);
+  return fast;
+}
+
+TEST(VarintTest, FastPathMatchesLoopAtEdges) {
+  for (uint64_t v : {0ull, 127ull, 128ull, 16383ull, 16384ull, 1ull << 63,
+                     ~0ull}) {
+    SCOPED_TRACE(v);
+    std::string buf;
+    PutVarint64(&buf, v);
+    EXPECT_TRUE(ExpectSameAsLoop(buf, 0).ok());
+    // Mid-buffer, with a byte before and a continuation byte after.
+    const std::string framed = "\x05" + buf + "\x80";
+    EXPECT_TRUE(ExpectSameAsLoop(framed, 1).ok());
+    size_t offset = 1;
+    uint64_t value = 0;
+    ASSERT_TRUE(GetVarint64(framed, &offset, &value).ok());
+    EXPECT_EQ(value, v);
+    EXPECT_EQ(offset, 1 + buf.size());
+  }
+  // A continuation byte as the buffer's last byte.
+  EXPECT_TRUE(ExpectSameAsLoop("\x80", 0).IsCorruption());
+  EXPECT_TRUE(ExpectSameAsLoop("\x05\xff", 1).IsCorruption());
+  // A two-byte value cut after its first byte, and an empty tail.
+  std::string two;
+  PutVarint64(&two, 300);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_TRUE(ExpectSameAsLoop(two.substr(0, 1), 0).IsCorruption());
+  EXPECT_TRUE(ExpectSameAsLoop(two, 2).IsCorruption());
+  EXPECT_TRUE(ExpectSameAsLoop("", 0).IsCorruption());
+  // Ten bytes: the longest encoding the loop accepts, even when the last
+  // byte carries bits past 2^64 (they are dropped, as the loop does).
+  std::string ten;
+  PutVarint64(&ten, ~0ull);
+  ASSERT_EQ(ten.size(), 10u);
+  EXPECT_TRUE(ExpectSameAsLoop(ten, 0).ok());
+  EXPECT_TRUE(
+      ExpectSameAsLoop(std::string(9, '\x80') + "\x7f", 0).ok());
+  // Eleven bytes is over-long.
+  EXPECT_TRUE(
+      ExpectSameAsLoop(std::string(10, '\x80') + "\x01", 0).IsCorruption());
+}
+
 TEST(FixedTest, RoundTrip64And32) {
   std::string buf;
   PutFixed64(&buf, 0xDEADBEEFCAFEBABEull);
