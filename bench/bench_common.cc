@@ -135,25 +135,11 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
           arg + sizeof(kBufferPoolBudget) - 1, "--bufferpool-budget");
       continue;
     }
-    constexpr const char kBfsFrontier[] = "--bfs-frontier=";
-    if (std::strncmp(arg, kBfsFrontier, sizeof(kBfsFrontier) - 1) == 0) {
-      const char* value = arg + sizeof(kBfsFrontier) - 1;
-      if (std::strcmp(value, "flat") == 0) {
-        env.bfs_frontier = BfsFrontier::kFlat;
-      } else if (std::strcmp(value, "legacy") == 0) {
-        env.bfs_frontier = BfsFrontier::kLegacy;
-      } else {
-        KSP_CHECK(false) << "--bfs-frontier must be flat or legacy, got: "
-                         << value;
-      }
-      continue;
-    }
     KSP_CHECK(false) << "unknown flag: " << arg
                      << " (supported: --metrics-out=FILE --json-out=FILE "
                         "--intra-threads=N --warmup=N --repeat=N "
                         "--cache-budget=BYTES|unlimited "
-                        "--backend=memory|disk --bufferpool-budget=BYTES "
-                        "--bfs-frontier=flat|legacy)";
+                        "--backend=memory|disk --bufferpool-budget=BYTES)";
   }
   if (!env.metrics_out.empty()) {
     static MetricsRegistry registry;
@@ -197,16 +183,13 @@ int Finish() {
                   " \"time_limit_ms\": %g, \"intra_threads\": %u,"
                   " \"warmup\": %zu, \"repeat\": %zu,"
                   " \"cache_budget\": %llu, \"backend\": \"%s\","
-                  " \"bufferpool_budget\": %llu,"
-                  " \"bfs_frontier\": \"%s\"},\n  \"rows\": [\n",
+                  " \"bufferpool_budget\": %llu},\n  \"rows\": [\n",
                   JsonEscape(g_bench_id.c_str()).c_str(), g_env.scale,
                   g_env.queries, g_env.time_limit_ms, g_env.intra_threads,
                   g_env.warmup, g_env.repeat,
                   static_cast<unsigned long long>(g_env.cache_budget),
                   BackendName(g_env.backend),
-                  static_cast<unsigned long long>(g_env.bufferpool_budget),
-                  g_env.bfs_frontier == BfsFrontier::kLegacy ? "legacy"
-                                                             : "flat");
+                  static_cast<unsigned long long>(g_env.bufferpool_budget));
     std::string doc = buf;
     for (size_t i = 0; i < g_json_rows.size(); ++i) {
       doc += g_json_rows[i];
@@ -252,7 +235,6 @@ std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
   if (env.bufferpool_budget != 0) {
     options.buffer_pool_budget_bytes = env.bufferpool_budget;
   }
-  options.bfs_frontier = env.bfs_frontier;
   auto db = std::make_unique<KspDatabase>(kb, options);
   db->PrepareAll(alpha);
   KSP_CHECK(db->storage_backend_status().ok())

@@ -43,11 +43,6 @@ namespace bench {
 ///   --bufferpool-budget=BYTES
 ///                       buffer-pool byte budget for --backend=disk
 ///                       (default: the KspOptions default)
-///   --bfs-frontier=flat|legacy
-///                       TQSP BFS frontier driver (DESIGN.md §13) for
-///                       every MakeDatabase. Temporary A/B knob for the
-///                       raw-speed pass; goes away with
-///                       BfsFrontier::kLegacy once flat has soaked.
 struct BenchEnv {
   double scale = 1.0;
   size_t queries = 25;
@@ -59,7 +54,6 @@ struct BenchEnv {
   size_t cache_budget = 0;  // KspOptions::cache_budget_bytes for benches
   StorageBackend backend = StorageBackend::kMemory;
   uint64_t bufferpool_budget = 0;  // 0: keep the KspOptions default
-  BfsFrontier bfs_frontier = BfsFrontier::kFlat;
   std::string json_out;  // empty: JSON row capture off
 
   static BenchEnv FromEnv();
@@ -143,7 +137,7 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 /// also captured for the JSON document Finish() writes:
 ///   {"schema_version": 1, "bench": "<argv0 basename>",
 ///    "env": {scale, queries, time_limit_ms, intra_threads, warmup,
-///            repeat, cache_budget},
+///            repeat, cache_budget, backend, bufferpool_budget},
 ///    "rows": [{config, algo, queries, timed_out, mean_wall_us,
 ///              median_wall_us, p95_wall_us, phase_exclusive_us: {<phase>:
 ///              µs, ...}, counters: {tqsp_computations,
@@ -155,9 +149,9 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 ///              bufferpool: {budget_bytes, hits, misses, evictions},
 ///              shard: {count, shards_visited, shards_pruned,
 ///                      prune_rate}}]}
-/// The schema is stable: fields are only added, never renamed or removed
-/// (cache_budget, the cache object, backend, the bufferpool object, and
-/// the shard object are additive; schema_version stays 1). The row-level
+/// The schema is stable: fields are only added, never renamed (cache_budget,
+/// the cache object, backend, the bufferpool object, and the shard object
+/// are additive; schema_version stays 1). The row-level
 /// backend/bufferpool annotation reflects the most recent MakeDatabase;
 /// the shard object appears only while SetShardRowAnnotation is active.
 void PrintStatsRow(const char* config, Algo algo,

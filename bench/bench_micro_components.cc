@@ -3,16 +3,13 @@
 // dominating every Figure-5/9 workload) on the Figure-5 keyword sweep,
 // plus per-operation substrate costs (posting fetch, bounded BFS). This
 // is the measurement harness for the raw-speed pass (DESIGN.md §13):
-// run twice with --bfs-frontier=legacy and --bfs-frontier=flat and diff
-// the phase_exclusive_us totals in the JSON rows (methodology:
-// docs/BENCHMARKS.md).
+// diff the phase_exclusive_us totals in the JSON rows of two builds
+// (methodology: docs/BENCHMARKS.md).
 //
-// Unlike its previous google-benchmark incarnation this bench goes
-// through ksp::bench::RunWorkload, so --warmup/--repeat give it the
-// same untimed-warmup + median-of-passes treatment as every figure
-// bench, and --json-out emits the stable schema_version-1 document
-// (rows gain nothing new; the env object already carries the
-// bfs_frontier annotation — purely additive).
+// The bench goes through ksp::bench::RunWorkload, so --warmup/--repeat
+// give it the same untimed-warmup + median-of-passes treatment as every
+// figure bench, and --json-out emits the stable schema_version-1
+// document.
 
 #include <chrono>
 #include <cstdio>

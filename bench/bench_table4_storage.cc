@@ -1,8 +1,8 @@
 // Table 4: storage cost of the R-tree, the native RDF graph, and the
 // inverted index, for both datasets. The disk-resident inverted index is
 // also materialized so its file size is reported alongside the in-memory
-// footprint, and the checksummed (v2) save/load paths are timed against
-// the CRC-free legacy writers to report the integrity overhead.
+// footprint, and the checksummed (v2) save/load paths are timed next to
+// raw CRC32C throughput to show what the integrity checks cost.
 
 #include <cstdio>
 #include <filesystem>
@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
       "\npaper (full-scale): DBpedia R-tree 50.54MB graph 607.95MB "
       "inv 1307.98MB; Yago R-tree 273.17MB graph 454.81MB inv 231.91MB\n");
 
-  // --- Checksum overhead: v2 (CRC32C-framed, atomic rename) persistence
-  // vs. the CRC-free legacy writers, plus raw CRC32C throughput. ---
-  std::printf("\n=== Checksum overhead (v2 vs legacy persistence) ===\n");
+  // --- Checksummed (CRC32C-framed, atomic rename) persistence timings,
+  // plus raw CRC32C throughput. ---
+  std::printf("\n=== Checksummed persistence (v2) ===\n");
   {
     ksp::Rng rng(4);
     std::string buf(64ull << 20, '\0');
@@ -67,49 +67,30 @@ int main(int argc, char** argv) {
                 crc);
   }
 
-  std::printf("%-26s %12s %12s %9s\n", "operation", "v2 (ms)",
-              "legacy (ms)", "overhead");
+  std::printf("%-26s %12s\n", "operation", "v2 (ms)");
   {
     auto kb = MakeDataset(true, env.Scaled(kDBpediaBaseVertices));
     ksp::KspDatabase db(kb.get());
     db.BuildRTree();
-    const std::string dir = std::filesystem::temp_directory_path().string();
-    const std::string v2 = dir + "/ksp_table4_v2.bin";
-    const std::string v1 = dir + "/ksp_table4_v1.bin";
+    const std::string v2 = (std::filesystem::temp_directory_path() /
+                            "ksp_table4_v2.bin")
+                               .string();
 
-    auto report = [](const char* op, double v2_ms, double v1_ms) {
-      std::printf("%-26s %12.2f %12.2f %8.1f%%\n", op, v2_ms, v1_ms,
-                  v1_ms > 0 ? (v2_ms / v1_ms - 1.0) * 100.0 : 0.0);
-    };
-    auto time_ms = [](auto&& fn) {
+    auto report = [](const char* op, auto&& fn) {
       ksp::Timer timer;
       timer.Start();
       fn();
       timer.Stop();
-      return timer.ElapsedMillis();
+      std::printf("%-26s %12.2f\n", op, timer.ElapsedMillis());
     };
-
-    report("rtree save",
-           time_ms([&] { (void)db.rtree().Save(v2); }),
-           time_ms([&] { (void)db.rtree().SaveLegacyForTesting(v1); }));
-    report("rtree load",
-           time_ms([&] { (void)ksp::RTree::Load(v2); }),
-           time_ms([&] { (void)ksp::RTree::Load(v1); }));
-
-    report("inverted-index write",
-           time_ms([&] {
-             (void)ksp::DiskInvertedIndex::Write(kb->inverted_index(), v2);
-           }),
-           time_ms([&] {
-             (void)ksp::DiskInvertedIndex::WriteLegacyForTesting(
-                 kb->inverted_index(), v1);
-           }));
+    report("rtree save", [&] { (void)db.rtree().Save(v2); });
+    report("rtree load", [&] { (void)ksp::RTree::Load(v2); });
+    report("inverted-index write", [&] {
+      (void)ksp::DiskInvertedIndex::Write(kb->inverted_index(), v2);
+    });
     report("inverted-index open",
-           time_ms([&] { (void)ksp::DiskInvertedIndex::Open(v2); }),
-           time_ms([&] { (void)ksp::DiskInvertedIndex::Open(v1); }));
-
+           [&] { (void)ksp::DiskInvertedIndex::Open(v2); });
     std::remove(v2.c_str());
-    std::remove(v1.c_str());
   }
   return ksp::bench::Finish();
 }

@@ -6,8 +6,8 @@
 # bench/bench_common.h.
 #
 # Usage: scripts/bench_smoke.sh [out.json] [micro_out.json]
-#        micro_out.json (default BENCH_micro.json) receives the flat-
-#        frontier micro-component run of the A/B perf smoke below.
+#        micro_out.json (default BENCH_micro.json) receives the
+#        micro-component run below.
 # Env:   BUILD_DIR (default: build), KSP_SCALE, KSP_QUERIES,
 #        KSP_INTRA_THREADS, KSP_BENCH (default: bench_fig9_large_looseness)
 set -euo pipefail
@@ -82,52 +82,33 @@ assert pruned >= 1, f"K=4 pruned no shards: {k4}"
 print(f"sharded smoke OK: {len(rows)} rows, K=4 pruned {pruned} shards")
 EOF
 
-# Frontier A/B perf smoke (DESIGN.md §13): run the micro-component bench
-# with the legacy and the flat BFS frontier driver on the same workload
-# and require the flat driver's tqsp_compute + bfs_expand phase-exclusive
-# total to be no slower than legacy (within a noise margin — CI runners
-# are too jittery for a hard ratio, so the gate is "not slower than
-# legacy * 1.25" on the median-of-3 pass). The flat JSON doubles as the
-# uploaded micro-component artifact (BENCH_micro.json).
+# Micro-component smoke (DESIGN.md §13): one traced run of the hot-path
+# bench, uploaded as BENCH_micro.json. It only has to parse and carry
+# phase-exclusive time; cross-commit hot-path regressions are judged by
+# kspbench's mem_mix cpu_ms_per_query against the parent commit.
 MICRO_OUT="${2:-BENCH_micro.json}"
-LEGACY_OUT="$(mktemp /tmp/ksp_bench_legacy_smoke.XXXXXX.json)"
-trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}" "${LEGACY_OUT}"' EXIT
-for frontier in legacy flat; do
-  out="${LEGACY_OUT}"
-  [[ "${frontier}" == "flat" ]] && out="${MICRO_OUT}"
-  KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
-    "${BUILD_DIR}/bench/bench_micro_components" \
-    --bfs-frontier="${frontier}" \
-    --warmup=1 --repeat=3 \
-    --json-out="${out}"
-done
+KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
+  "${BUILD_DIR}/bench/bench_micro_components" \
+  --warmup=1 --repeat=3 \
+  --json-out="${MICRO_OUT}"
 
-python3 - "${LEGACY_OUT}" "${MICRO_OUT}" <<'EOF'
+python3 - "${MICRO_OUT}" <<'EOF'
 import json, sys
-
-def hot_us(path):
-    doc = json.load(open(path))
-    assert doc["schema_version"] == 1, doc
-    assert doc["rows"], f"{path}: no rows"
-    return doc["env"]["bfs_frontier"], sum(
-        r["phase_exclusive_us"]["tqsp_compute"] +
-        r["phase_exclusive_us"]["bfs_expand"] for r in doc["rows"])
-
-(legacy_name, legacy), (flat_name, flat) = map(hot_us, sys.argv[1:3])
-assert legacy_name == "legacy" and flat_name == "flat", (legacy_name,
-                                                         flat_name)
-assert legacy > 0, "legacy run recorded no hot-phase time"
-assert flat <= legacy * 1.25, (
-    f"flat frontier slower than legacy: {flat:.0f} us vs {legacy:.0f} us")
-print(f"frontier A/B smoke OK: tqsp+bfs {legacy:.0f} us (legacy) -> "
-      f"{flat:.0f} us (flat), ratio {flat / legacy:.2f}")
+doc = json.load(open(sys.argv[1]))
+assert doc["schema_version"] == 1, doc
+rows = doc["rows"]
+assert rows, "micro-component bench emitted no rows"
+hot = sum(r["phase_exclusive_us"]["tqsp_compute"] +
+          r["phase_exclusive_us"]["bfs_expand"] for r in rows)
+assert hot > 0, "micro-component run recorded no hot-phase time"
+print(f"micro-component smoke OK: {len(rows)} rows, tqsp+bfs {hot:.0f} us")
 EOF
 
 # Serving-tier smoke (DESIGN.md §11): start a real server on loopback,
 # drive it with the closed- and open-loop load generator, and require
 # nonzero sustained QPS with zero protocol errors in both loops.
 SERVE_OUT="$(mktemp /tmp/ksp_bench_serving_smoke.XXXXXX.json)"
-trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}" "${LEGACY_OUT}" "${SERVE_OUT}"' EXIT
+trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}" "${SERVE_OUT}"' EXIT
 KSP_SCALE="${KSP_SCALE:-0.1}" \
   "${BUILD_DIR}/bench/bench_serving_load" \
   --clients=4 --seconds=1 --rate=100 \

@@ -1,7 +1,6 @@
 #include "alpha/alpha_index.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/io_util.h"
 #include "common/logging.h"
@@ -189,60 +188,11 @@ Status AlphaIndex::Save(const std::string& path, FileSystem* fs,
       info);
 }
 
-Status AlphaIndex::SaveLegacyForTesting(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  auto write_all = [&]() -> Status {
-    KSP_RETURN_NOT_OK(WritePod(f, kAlphaMagic));
-    KSP_RETURN_NOT_OK(WritePod(f, alpha_));
-    KSP_RETURN_NOT_OK(WritePod(f, num_places_));
-    KSP_RETURN_NOT_OK(WritePod(f, num_nodes_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, offsets_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, postings_));
-    KSP_RETURN_NOT_OK(WritePod(f, kAlphaMagic));
-    return Status::OK();
-  };
-  Status st = write_all();
-  if (std::fclose(f) != 0 && st.ok()) st = Status::IOError("close failed");
-  return st;
-}
-
-Result<AlphaIndex> AlphaIndex::LoadLegacy(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  AlphaIndex index;
-  auto read_all = [&]() -> Status {
-    uint32_t magic = 0;
-    KSP_RETURN_NOT_OK(ReadPod(f, &magic));
-    if (magic != kAlphaMagic) {
-      return Status::Corruption("bad alpha-index magic: " + path);
-    }
-    KSP_RETURN_NOT_OK(ReadPod(f, &index.alpha_));
-    KSP_RETURN_NOT_OK(ReadPod(f, &index.num_places_));
-    KSP_RETURN_NOT_OK(ReadPod(f, &index.num_nodes_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.offsets_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.postings_));
-    KSP_RETURN_NOT_OK(ReadPod(f, &magic));
-    if (magic != kAlphaMagic) {
-      return Status::Corruption("bad alpha-index footer: " + path);
-    }
-    return Status::OK();
-  };
-  Status st = read_all();
-  std::fclose(f);
-  if (!st.ok()) return st;
-  return index;
-}
-
 Result<AlphaIndex> AlphaIndex::Load(const std::string& path,
                                     FileSystem* fs) {
   if (fs == nullptr) fs = DefaultFileSystem();
   auto file = fs->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();
-  auto checksummed = IsChecksummedFile(**file);
-  if (!checksummed.ok()) return checksummed.status();
-  if (!*checksummed) return LoadLegacy(path);
-
   ChecksummedReader reader(file->get());
   uint32_t version = 0;
   KSP_RETURN_NOT_OK(reader.Open(kAlphaMagic, &version));

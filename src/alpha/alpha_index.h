@@ -57,14 +57,11 @@ class AlphaIndex {
   /// Persists / restores the inverted WN file (the paper keeps it on
   /// disk; building it is by far the costliest preprocessing step).
   /// Save writes the checksummed v2 container atomically; Load verifies
-  /// every section CRC and still reads v1 legacy files for one release.
+  /// every section CRC.
   Status Save(const std::string& path, FileSystem* fs = nullptr,
               ArtifactInfo* info = nullptr) const;
   static Result<AlphaIndex> Load(const std::string& path,
                                  FileSystem* fs = nullptr);
-
-  /// v1 writer kept only for legacy-read-window tests.
-  Status SaveLegacyForTesting(const std::string& path) const;
 
   /// Total number of (term, entry) pairs across the file.
   uint64_t TotalEntries() const { return postings_.size(); }
@@ -77,8 +74,6 @@ class AlphaIndex {
 
  private:
   AlphaIndex() = default;
-
-  static Result<AlphaIndex> LoadLegacy(const std::string& path);
 
   uint32_t alpha_ = 0;
   uint32_t num_places_ = 0;

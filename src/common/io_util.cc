@@ -26,19 +26,6 @@ Status CorruptionAt(const std::string& path, uint64_t offset,
   return Status::Corruption(OffsetTag(path, offset) + std::move(msg));
 }
 
-Result<uint64_t> RemainingFileBytes(std::FILE* f) {
-  long pos = std::ftell(f);
-  if (pos < 0) return Status::IOError("ftell failed");
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError("seek to end failed");
-  }
-  long end = std::ftell(f);
-  if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) {
-    return Status::IOError("seek back failed");
-  }
-  return static_cast<uint64_t>(end - pos);
-}
-
 Status ChecksummedWriter::RawAppend(std::string_view data) {
   KSP_RETURN_NOT_OK(file_->Append(data));
   file_crc_ = Crc32cExtend(file_crc_, data);
@@ -188,18 +175,6 @@ Status ChecksummedReader::ExpectEnd() const {
                         "trailing bytes after final section");
   }
   return Status::OK();
-}
-
-Result<bool> IsChecksummedFile(const RandomAccessFile& file) {
-  std::string magic_bytes;
-  KSP_RETURN_NOT_OK(file.Read(0, 4, &magic_bytes));
-  if (magic_bytes.size() != 4) {
-    return CorruptionAt(file.path(), 0, "file too small for any artifact");
-  }
-  size_t pos = 0;
-  uint32_t magic = 0;
-  KSP_RETURN_NOT_OK(GetFixed32(magic_bytes, &pos, &magic));
-  return magic == kChecksummedFileMagic;
 }
 
 Status WriteArtifactAtomically(

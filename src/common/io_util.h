@@ -1,7 +1,6 @@
 #ifndef KSP_COMMON_IO_UTIL_H_
 #define KSP_COMMON_IO_UTIL_H_
 
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -32,63 +31,6 @@ namespace ksp {
 Status IOErrorAt(const std::string& path, uint64_t offset, std::string msg);
 Status CorruptionAt(const std::string& path, uint64_t offset,
                     std::string msg);
-
-/// ---- Legacy stdio helpers (v1 artifact readers only) ----
-
-template <typename T>
-Status WritePod(std::FILE* f, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (std::fwrite(&value, sizeof(T), 1, f) != 1) {
-    return Status::IOError("short write");
-  }
-  return Status::OK();
-}
-
-template <typename T>
-Status ReadPod(std::FILE* f, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (std::fread(value, sizeof(T), 1, f) != 1) {
-    return Status::IOError("short read");
-  }
-  return Status::OK();
-}
-
-/// Length-prefixed vector of PODs.
-template <typename T>
-Status WritePodVector(std::FILE* f, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  KSP_RETURN_NOT_OK(WritePod<uint64_t>(f, v.size()));
-  if (!v.empty() &&
-      std::fwrite(v.data(), sizeof(T), v.size(), f) != v.size()) {
-    return Status::IOError("short vector write");
-  }
-  return Status::OK();
-}
-
-/// Bytes between the current position and end-of-file, or IOError.
-Result<uint64_t> RemainingFileBytes(std::FILE* f);
-
-/// Reads a length-prefixed vector, rejecting any length prefix that
-/// exceeds the remaining file bytes with Status::Corruption BEFORE
-/// resizing (a 16-byte corrupt file must not request a multi-GB
-/// allocation).
-template <typename T>
-Status ReadPodVector(std::FILE* f, std::vector<T>* v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  uint64_t size = 0;
-  KSP_RETURN_NOT_OK(ReadPod(f, &size));
-  auto remaining = RemainingFileBytes(f);
-  if (!remaining.ok()) return remaining.status();
-  if (size > *remaining / sizeof(T)) {
-    return Status::Corruption(
-        "vector length prefix exceeds remaining file bytes");
-  }
-  v->resize(size);
-  if (size != 0 && std::fread(v->data(), sizeof(T), size, f) != size) {
-    return Status::IOError("short vector read");
-  }
-  return Status::OK();
-}
 
 /// ---- Buffer-based POD codec (v2 artifact payload sections) ----
 
@@ -140,8 +82,9 @@ Status ParsePodVector(std::string_view src, size_t* pos, std::vector<T>* v) {
 
 /// ---- Checksummed container framing ----
 
-/// First four bytes of every v2 artifact ("CPSK" on disk); legacy v1
-/// files start with their artifact-specific magic instead.
+/// First four bytes of every artifact ("CPSK" on disk). ChecksummedReader
+/// rejects any other prefix — including the CRC-free v1 layout, which
+/// began with the artifact-specific magic — as Corruption.
 constexpr uint32_t kChecksummedFileMagic = 0x4B535043u;
 
 /// Writes one checksummed container to a WritableFile: Start() frames the
@@ -202,11 +145,6 @@ class ChecksummedReader {
   const RandomAccessFile* file_;
   uint64_t offset_ = 0;
 };
-
-/// True when the file starts with kChecksummedFileMagic — the v2/legacy
-/// dispatch every artifact Load() performs. Corruption for files shorter
-/// than four bytes.
-Result<bool> IsChecksummedFile(const RandomAccessFile& file);
 
 /// Size and whole-file checksum of a just-written artifact; recorded in
 /// the MANIFEST and re-verified by LoadIndexes before any codec runs.

@@ -416,7 +416,8 @@ Status KspDatabase::LoadIndexes(const std::string& directory,
 
   const std::string manifest_path = directory + "/" + kManifestName;
   if (!fs->FileExists(manifest_path)) {
-    return LoadLegacyLayout(directory, fs);
+    return fail(Status::IOError("no MANIFEST in index directory: " +
+                                directory));
   }
   auto manifest = ReadManifest(fs, manifest_path);
   if (!manifest.ok()) return fail(manifest.status());
@@ -481,56 +482,6 @@ Status KspDatabase::LoadIndexes(const std::string& directory,
     }
   }
   index_generation_ = manifest->generation;
-  RefreshSpatialAccessor();
-  RefreshDiskBackend();
-  return Status::OK();
-}
-
-Status KspDatabase::LoadLegacyLayout(const std::string& directory,
-                                     FileSystem* fs) {
-  index_generation_ = 0;  // Pre-manifest layouts carry no generation.
-  auto fail = [this](Status st) {
-    rtree_.reset();
-    reach_.reset();
-    alpha_.reset();
-    RefreshSpatialAccessor();
-    RefreshDiskBackend();
-    return st;
-  };
-  // Pre-manifest layout: fixed filenames, no cross-file verification.
-  // Absent files leave the corresponding index unbuilt.
-  if (fs->FileExists(directory + "/rtree.bin")) {
-    auto rtree = RTree::Load(directory + "/rtree.bin", fs);
-    if (!rtree.ok()) return fail(rtree.status());
-    if (rtree->size() != IndexedPlaceCount()) {
-      return fail(Status::InvalidArgument(
-          "saved R-tree does not match the indexed place count"));
-    }
-    rtree_ = std::make_shared<const RTree>(std::move(*rtree));
-  }
-  if (fs->FileExists(directory + "/reach.bin")) {
-    auto reach = ReachabilityIndex::Load(directory + "/reach.bin", fs);
-    if (!reach.ok()) return fail(reach.status());
-    if (reach->num_base_vertices() != kb_->num_vertices()) {
-      return fail(Status::InvalidArgument(
-          "saved reachability index does not match the KB"));
-    }
-    reach_ = std::make_shared<const ReachabilityIndex>(std::move(*reach));
-  }
-  if (fs->FileExists(directory + "/alpha.bin")) {
-    auto alpha = AlphaIndex::Load(directory + "/alpha.bin", fs);
-    if (!alpha.ok()) return fail(alpha.status());
-    if (rtree_ == nullptr) {
-      return fail(Status::InvalidArgument(
-          "alpha.bin present without its matching rtree.bin"));
-    }
-    if (alpha->num_places() != kb_->num_places() ||
-        alpha->num_nodes() != rtree_->num_nodes()) {
-      return fail(Status::InvalidArgument(
-          "saved alpha index does not match the KB / R-tree"));
-    }
-    alpha_ = std::make_shared<const AlphaIndex>(std::move(*alpha));
-  }
   RefreshSpatialAccessor();
   RefreshDiskBackend();
   return Status::OK();

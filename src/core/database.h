@@ -34,18 +34,6 @@ enum class StorageBackend {
   kDisk,
 };
 
-/// BFS frontier representation of the TQSP construction. TEMPORARY A/B
-/// knob for the raw-speed pass (DESIGN.md §13): kFlat is the
-/// level-synchronous flat-array frontier with neighbor-span prefetch,
-/// kLegacy the previous single growing (vertex, distance) queue. Pop
-/// order, counters, prune decisions, and results are bit-identical
-/// between the two; the knob exists only so bench_smoke.sh can assert
-/// flat is not slower, and goes away once flat has baked in.
-enum class BfsFrontier {
-  kFlat,
-  kLegacy,
-};
-
 /// Configuration shared by every query on one KspDatabase. The pruning
 /// toggles exist for the ablation study; the shipped defaults reproduce
 /// the paper's SP setup.
@@ -101,10 +89,6 @@ struct KspOptions {
   /// creates a private temp directory, removed when the database is
   /// destroyed; a caller-provided directory is left in place.
   std::string spill_directory;
-
-  /// See BfsFrontier above. Flat is the default; legacy exists for the
-  /// bench A/B only.
-  BfsFrontier bfs_frontier = BfsFrontier::kFlat;
 
   /// Restricts the spatial indexes (R-tree, and hence the α-index built
   /// over it) to this set of places — the shard tile of DESIGN.md §12.
@@ -201,14 +185,15 @@ class KspDatabase {
                      uint64_t min_generation = 0,
                      uint64_t* saved_generation = nullptr) const;
 
-  /// Restores previously saved indexes, replacing any built ones. With a
-  /// MANIFEST present, every listed artifact is verified against its
-  /// recorded size and whole-file crc32c BEFORE any index is loaded: a
-  /// missing artifact yields IOError, a size/checksum mismatch (stale or
-  /// tampered file) yields Corruption. Directories without a MANIFEST
-  /// fall back to the pre-manifest fixed names (rtree.bin, reach.bin,
-  /// alpha.bin), where absent files simply leave the corresponding index
-  /// unbuilt. An index that does not match the KB (or an alpha index
+  /// Restores the indexes a SaveIndexes call published in `directory`,
+  /// replacing any built ones. The directory's MANIFEST names the
+  /// artifacts; a directory without one (missing, empty, or holding only
+  /// loose artifact files) yields IOError naming the directory. Every
+  /// listed artifact is verified against its recorded size and
+  /// whole-file crc32c BEFORE any index is loaded: a missing artifact
+  /// yields IOError, a size/checksum mismatch (stale or tampered file)
+  /// or an artifact not in the checksummed v2 container yields
+  /// Corruption. An index that does not match the KB (or an alpha index
   /// without its R-tree) is rejected with InvalidArgument. On ANY
   /// failure the database is left fully unprepared — no index survives
   /// half-loaded — so subsequent queries fail with InvalidArgument
@@ -231,7 +216,7 @@ class KspDatabase {
   const KnowledgeBase& kb() const { return *kb_; }
   const KspOptions& options() const { return options_; }
   /// Manifest generation of the last successful LoadIndexes, or 0 for
-  /// indexes built in-process / loaded from a pre-manifest directory.
+  /// indexes built in-process.
   /// The serving tier stamps this into responses so clients can tell
   /// which index generation answered across a hot swap.
   uint64_t index_generation() const { return index_generation_; }
@@ -295,10 +280,6 @@ class KspDatabase {
     std::unique_ptr<DiskPostingsAccessor> postings;
     std::unique_ptr<PagedRTree> rtree;
   };
-
-  /// Pre-manifest fallback for LoadIndexes (fixed filenames, no
-  /// cross-file verification).
-  Status LoadLegacyLayout(const std::string& directory, FileSystem* fs);
 
   /// Number of places the spatial indexes cover: the place subset when
   /// one is configured, else every KB place.

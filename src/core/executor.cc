@@ -332,11 +332,10 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
   // read-modify-write against the heap-resident stats on every pop.
   uint64_t pops = 0;
 
-  // Per-pop body shared by both frontier drivers below; false means stop
-  // (the flags and `remaining` say why). `qi` is the global pop index —
-  // both drivers produce the identical pop sequence (FIFO within a BFS
-  // level), so the cancellation cadence, stats counters, bound-log steps
-  // and prune decisions are bit-identical across drivers.
+  // Per-pop body of the frontier loop below; false means stop (the flags
+  // and `remaining` say why). `qi` is the global pop index in FIFO order
+  // (within a BFS level, discovery order); the cancellation cadence and
+  // the bound-log steps key on it.
   auto process_pop = [&](VertexId v, uint32_t dist, uint64_t qi) -> bool {
     // Cancellation poll every 64 pops: cheap enough to keep the BFS hot
     // loop tight, frequent enough that a deadline is enforced within one
@@ -394,123 +393,95 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
     return true;
   };
 
-  if (db_->options().bfs_frontier == BfsFrontier::kLegacy) {
-    // Legacy driver (the A/B baseline): one growing (vertex, distance)
-    // queue popped by index.
-    std::vector<std::pair<VertexId, uint32_t>> queue;
-    queue.emplace_back(root, 0);
-    for (size_t qi = 0; qi < queue.size() && remaining != 0; ++qi) {
-      auto [v, dist] = queue[qi];
-      if (!process_pop(v, dist, qi)) break;
-      for (VertexId w : graph.OutNeighbors(v, &graph_cursor_)) {
-        if (visit_epoch_[w] != epoch) {
-          visit_epoch_[w] = epoch;
-          bfs_parent_[w] = v;
-          queue.emplace_back(w, dist + 1);
+  // Level-synchronous frontiers of bare vertex ids (the level counter is
+  // the distance), with a neighbor-span prefetch a few pops ahead in the
+  // current frontier. Capacity persists across candidates in the
+  // executor scratch. On the memory backend the CSR is read directly,
+  // skipping the per-pop virtual dispatch.
+  //
+  // Both buffers are sized to the vertex count up front: a vertex is
+  // discovered at most once per epoch, so the raw `nxt[nxt_n] = ...`
+  // writes below can never overflow, and the hot loop carries neither
+  // push_back's capacity branch nor any reload of the vectors' members
+  // (base pointers and sizes live in locals the stores cannot alias —
+  // with member access the compiler must assume every push invalidates
+  // frontier_.data()/size() and re-read them each edge).
+  //
+  // The edge scan is deliberately branchless. The classic
+  //   if (epochs[w] != epoch) { mark; record parent; push }
+  // stalls on one unpredictable branch per edge whose outcome depends
+  // on a random L1-missing load — the mispredicts serialize what are
+  // otherwise ~degree independent cache misses, and they bound the
+  // whole TQSP construction (measured: the executor runs at the raw
+  // BFS substrate's ns/pop, so only this pattern can be the limiter).
+  // Instead every edge does an idempotent `epochs[w] = epoch` store
+  // and a conditionally-advanced append `nxt_n += fresh`, so the loop
+  // has no data-dependent control flow and the out-of-order window
+  // overlaps the misses. The parent does not go to a second random
+  // array touch per edge: frontier entries are (parent, vertex) fused
+  // in a u64, and the pop writes bfs_parent_ once per vertex. The
+  // first discoverer still wins — later edges to the same vertex see
+  // fresh == false and never advance the cursor — so pop order and
+  // parents are exactly those of a plain FIFO BFS.
+  const Graph* csr = graph.memory_graph();
+  const size_t total_vertices = visit_epoch_.size();
+  if (frontier_.size() < total_vertices) {
+    frontier_.resize(total_vertices);
+    next_frontier_.resize(total_vertices);
+  }
+  uint64_t* cur = frontier_.data();
+  uint64_t* nxt = next_frontier_.data();
+  uint16_t* const epochs = visit_epoch_.data();
+  VertexId* const parents = bfs_parent_.data();
+  cur[0] = Entry(kInvalidVertex, root);
+  size_t cur_n = 1;
+  size_t nxt_n = 0;
+  constexpr size_t kPrefetchAhead = 8;
+  uint64_t qi = 0;
+  uint32_t dist = 0;
+  bool stop = remaining == 0;
+  while (!stop && cur_n > 0) {
+    for (size_t j = 0; j < cur_n; ++j, ++qi) {
+      if (j + kPrefetchAhead < cur_n) {
+        const VertexId ahead = EntryVertex(cur[j + kPrefetchAhead]);
+        if (csr != nullptr) {
+          csr->PrefetchOut(ahead);
+        } else {
+          graph.Prefetch(ahead, &graph_cursor_);
         }
+      }
+      const VertexId v = EntryVertex(cur[j]);
+      parents[v] = EntryParent(cur[j]);
+      if (!process_pop(v, dist, qi)) {
+        stop = true;
+        break;
+      }
+      const uint64_t tagged = Entry(v, 0);
+      const std::span<const VertexId> out =
+          csr != nullptr ? csr->OutNeighbors(v)
+                         : graph.OutNeighbors(v, &graph_cursor_);
+      for (VertexId w : out) {
+        const bool fresh = epochs[w] != epoch;
+        epochs[w] = epoch;
+        nxt[nxt_n] = tagged | w;
+        nxt_n += fresh;
       }
       if (undirected) {
-        for (VertexId w : graph.InNeighbors(v, &graph_cursor_)) {
-          if (visit_epoch_[w] != epoch) {
-            visit_epoch_[w] = epoch;
-            bfs_parent_[w] = v;
-            queue.emplace_back(w, dist + 1);
-          }
-        }
-      }
-    }
-  } else {
-    // Flat driver: level-synchronous frontiers of bare vertex ids (the
-    // level counter is the distance), with a neighbor-span prefetch a
-    // few pops ahead in the current frontier. Capacity persists across
-    // candidates in the executor scratch. On the memory backend the CSR
-    // is read directly, skipping the per-pop virtual dispatch.
-    //
-    // Both buffers are sized to the vertex count up front: a vertex is
-    // discovered at most once per epoch, so the raw `nxt[nxt_n] = ...`
-    // writes below can never overflow, and the hot loop carries neither
-    // push_back's capacity branch nor any reload of the vectors' members
-    // (base pointers and sizes live in locals the stores cannot alias —
-    // with member access the compiler must assume every push invalidates
-    // frontier_.data()/size() and re-read them each edge).
-    //
-    // The edge scan is deliberately branchless. The classic
-    //   if (epochs[w] != epoch) { mark; record parent; push }
-    // stalls on one unpredictable branch per edge whose outcome depends
-    // on a random L1-missing load — the mispredicts serialize what are
-    // otherwise ~degree independent cache misses, and they bound the
-    // whole TQSP construction (measured: the executor runs at the raw
-    // BFS substrate's ns/pop, so only this pattern can be the limiter).
-    // Instead every edge does an idempotent `epochs[w] = epoch` store
-    // and a conditionally-advanced append `nxt_n += fresh`, so the loop
-    // has no data-dependent control flow and the out-of-order window
-    // overlaps the misses. The parent does not go to a second random
-    // array touch per edge: frontier entries are (parent, vertex) fused
-    // in a u64, and the pop writes bfs_parent_ once per vertex. The
-    // first discoverer still wins — later edges to the same vertex see
-    // fresh == false and never advance the cursor — so pop order,
-    // parents, and every counter stay bit-identical to the legacy
-    // driver.
-    const Graph* csr = graph.memory_graph();
-    const size_t total_vertices = visit_epoch_.size();
-    if (frontier_.size() < total_vertices) {
-      frontier_.resize(total_vertices);
-      next_frontier_.resize(total_vertices);
-    }
-    uint64_t* cur = frontier_.data();
-    uint64_t* nxt = next_frontier_.data();
-    uint16_t* const epochs = visit_epoch_.data();
-    VertexId* const parents = bfs_parent_.data();
-    cur[0] = Entry(kInvalidVertex, root);
-    size_t cur_n = 1;
-    size_t nxt_n = 0;
-    constexpr size_t kPrefetchAhead = 8;
-    uint64_t qi = 0;
-    uint32_t dist = 0;
-    bool stop = remaining == 0;
-    while (!stop && cur_n > 0) {
-      for (size_t j = 0; j < cur_n; ++j, ++qi) {
-        if (j + kPrefetchAhead < cur_n) {
-          const VertexId ahead = EntryVertex(cur[j + kPrefetchAhead]);
-          if (csr != nullptr) {
-            csr->PrefetchOut(ahead);
-          } else {
-            graph.Prefetch(ahead, &graph_cursor_);
-          }
-        }
-        const VertexId v = EntryVertex(cur[j]);
-        parents[v] = EntryParent(cur[j]);
-        if (!process_pop(v, dist, qi)) {
-          stop = true;
-          break;
-        }
-        const uint64_t tagged = Entry(v, 0);
-        const std::span<const VertexId> out =
-            csr != nullptr ? csr->OutNeighbors(v)
-                           : graph.OutNeighbors(v, &graph_cursor_);
-        for (VertexId w : out) {
+        const std::span<const VertexId> in =
+            csr != nullptr ? csr->InNeighbors(v)
+                           : graph.InNeighbors(v, &graph_cursor_);
+        for (VertexId w : in) {
           const bool fresh = epochs[w] != epoch;
           epochs[w] = epoch;
           nxt[nxt_n] = tagged | w;
           nxt_n += fresh;
         }
-        if (undirected) {
-          const std::span<const VertexId> in =
-              csr != nullptr ? csr->InNeighbors(v)
-                             : graph.InNeighbors(v, &graph_cursor_);
-          for (VertexId w : in) {
-            const bool fresh = epochs[w] != epoch;
-            epochs[w] = epoch;
-            nxt[nxt_n] = tagged | w;
-            nxt_n += fresh;
-          }
-        }
       }
-      std::swap(cur, nxt);
-      cur_n = nxt_n;
-      nxt_n = 0;
-      ++dist;
     }
+    std::swap(cur, nxt);
+    cur_n = nxt_n;
+    nxt_n = 0;
+    ++dist;
   }
 
   if (stats != nullptr) stats->vertices_visited += pops;

@@ -1,6 +1,5 @@
 #include "rdf/kb_io.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "common/varint.h"
@@ -11,22 +10,13 @@ namespace ksp {
 
 namespace {
 constexpr uint32_t kMagic = 0x4B53504Bu;  // "KSPK"
-constexpr uint32_t kLegacyVersion = 1;
 constexpr uint32_t kSnapshotVersion = 2;
-
-Status WriteAll(std::FILE* f, std::string_view data) {
-  if (std::fwrite(data.data(), 1, data.size(), f) != data.size()) {
-    return Status::IOError("short write");
-  }
-  return Status::OK();
-}
 }  // namespace
 
 /// Friend of KnowledgeBase: assembles a KB from deserialized state.
 class KnowledgeBaseSnapshotAccess {
  public:
-  /// Varint-packed snapshot body — identical between v1 and v2; only the
-  /// outer framing differs.
+  /// Varint-packed snapshot body.
   static std::string SerializeBody(const KnowledgeBase& kb) {
     std::string buf;
 
@@ -195,76 +185,31 @@ class KnowledgeBaseSnapshotAccess {
         info);
   }
 
-  static Status SaveLegacy(const KnowledgeBase& kb,
-                           const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::IOError("cannot open: " + path);
-    std::string buf;
-    PutFixed32(&buf, kMagic);
-    PutFixed32(&buf, kLegacyVersion);
-    buf += SerializeBody(kb);
-    PutFixed32(&buf, kMagic);
-    Status st = WriteAll(f, buf);
-    if (std::fclose(f) != 0 && st.ok()) {
-      st = Status::IOError("close failed: " + path);
-    }
-    return st;
-  }
-
   static Result<std::unique_ptr<KnowledgeBase>> Load(
       const std::string& path, FileSystem* fs) {
     if (fs == nullptr) fs = DefaultFileSystem();
     auto file = fs->NewRandomAccessFile(path);
     if (!file.ok()) return file.status();
-    auto checksummed = IsChecksummedFile(**file);
-    if (!checksummed.ok()) return checksummed.status();
-
-    if (*checksummed) {
-      ChecksummedReader reader(file->get());
-      uint32_t version = 0;
-      KSP_RETURN_NOT_OK(reader.Open(kMagic, &version));
-      if (version != kSnapshotVersion) {
-        return CorruptionAt(path, 4,
-                            "unsupported snapshot format version " +
-                                std::to_string(version));
-      }
-      std::string body;
-      const uint64_t body_offset = reader.offset();
-      KSP_RETURN_NOT_OK(reader.ReadSection(&body));
-      KSP_RETURN_NOT_OK(reader.ExpectEnd());
-      size_t pos = 0;
-      auto kb = ParseBody(body, &pos);
-      if (!kb.ok()) {
-        return CorruptionAt(path, body_offset, kb.status().message());
-      }
-      if (pos != body.size()) {
-        return CorruptionAt(path, body_offset + pos,
-                            "trailing bytes in snapshot body");
-      }
-      return kb;
-    }
-
-    // Legacy v1: magic u32, version u32, body, magic footer — no CRC.
-    std::string buf;
-    KSP_RETURN_NOT_OK((*file)->Read(0, (*file)->Size(), &buf));
-    if (buf.size() != (*file)->Size()) {
-      return Status::IOError("short read: " + path);
-    }
-    size_t pos = 0;
-    uint32_t magic = 0;
+    ChecksummedReader reader(file->get());
     uint32_t version = 0;
-    KSP_RETURN_NOT_OK(GetFixed32(buf, &pos, &magic));
-    KSP_RETURN_NOT_OK(GetFixed32(buf, &pos, &version));
-    if (magic != kMagic) return Status::Corruption("bad magic: " + path);
-    if (version != kLegacyVersion) {
-      return Status::Corruption("unsupported snapshot version");
+    KSP_RETURN_NOT_OK(reader.Open(kMagic, &version));
+    if (version != kSnapshotVersion) {
+      return CorruptionAt(path, 4,
+                          "unsupported snapshot format version " +
+                              std::to_string(version));
     }
-    auto kb = ParseBody(buf, &pos);
-    if (!kb.ok()) return kb.status();
-    uint32_t footer = 0;
-    KSP_RETURN_NOT_OK(GetFixed32(buf, &pos, &footer));
-    if (footer != kMagic || pos != buf.size()) {
-      return Status::Corruption("bad snapshot footer");
+    std::string body;
+    const uint64_t body_offset = reader.offset();
+    KSP_RETURN_NOT_OK(reader.ReadSection(&body));
+    KSP_RETURN_NOT_OK(reader.ExpectEnd());
+    size_t pos = 0;
+    auto kb = ParseBody(body, &pos);
+    if (!kb.ok()) {
+      return CorruptionAt(path, body_offset, kb.status().message());
+    }
+    if (pos != body.size()) {
+      return CorruptionAt(path, body_offset + pos,
+                          "trailing bytes in snapshot body");
     }
     return kb;
   }
@@ -273,11 +218,6 @@ class KnowledgeBaseSnapshotAccess {
 Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path,
                          FileSystem* fs, ArtifactInfo* info) {
   return KnowledgeBaseSnapshotAccess::Save(kb, path, fs, info);
-}
-
-Status SaveKnowledgeBaseLegacyForTesting(const KnowledgeBase& kb,
-                                         const std::string& path) {
-  return KnowledgeBaseSnapshotAccess::SaveLegacy(kb, path);
 }
 
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseSnapshot(

@@ -24,18 +24,13 @@ namespace ksp {
 ///                 documents CSR, out-edge CSR with predicate ids,
 ///                 places (vertex id, lat, lon)
 /// Saves go through temp-file + fsync + atomic rename; loads verify every
-/// section checksum and still read the CRC-free v1 layout for one
-/// release. `fs` defaults to DefaultFileSystem().
+/// section checksum. `fs` defaults to DefaultFileSystem().
 Status SaveKnowledgeBase(const KnowledgeBase& kb, const std::string& path,
                          FileSystem* fs = nullptr,
                          ArtifactInfo* info = nullptr);
 
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseSnapshot(
     const std::string& path, FileSystem* fs = nullptr);
-
-/// v1 writer kept only for legacy-read-window tests.
-Status SaveKnowledgeBaseLegacyForTesting(const KnowledgeBase& kb,
-                                         const std::string& path);
 
 }  // namespace ksp
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "rdf/ntriples_parser.h"
 #include "rdf/turtle_parser.h"
 
 namespace ksp {
@@ -255,19 +254,18 @@ std::vector<TermId> KnowledgeBase::LookupTerms(
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromFile(
     const std::string& path, KnowledgeBaseOptions options) {
   KnowledgeBaseBuilder builder(std::move(options));
-  NTriplesParser parser;
-  auto count = parser.ParseFile(
+  auto count = ParseNTriplesFile(
       path, [&](const Triple& t) { builder.AddTriple(t); });
   if (!count.ok()) return count.status();
   return builder.Finish();
 }
 
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromString(
-    std::string_view ntriples, KnowledgeBaseOptions options) {
+    std::string_view text, KnowledgeBaseOptions options) {
   KnowledgeBaseBuilder builder(std::move(options));
-  NTriplesParser parser;
+  TurtleParser parser;
   auto count = parser.ParseString(
-      ntriples, [&](const Triple& t) { builder.AddTriple(t); });
+      text, [&](const Triple& t) { builder.AddTriple(t); });
   if (!count.ok()) return count.status();
   return builder.Finish();
 }
@@ -278,16 +276,6 @@ Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromTurtleFile(
   TurtleParser parser;
   auto count = parser.ParseFile(
       path, [&](const Triple& t) { builder.AddTriple(t); });
-  if (!count.ok()) return count.status();
-  return builder.Finish();
-}
-
-Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromTurtleString(
-    std::string_view turtle, KnowledgeBaseOptions options) {
-  KnowledgeBaseBuilder builder(std::move(options));
-  TurtleParser parser;
-  auto count = parser.ParseString(
-      turtle, [&](const Triple& t) { builder.AddTriple(t); });
   if (!count.ok()) return count.status();
   return builder.Finish();
 }

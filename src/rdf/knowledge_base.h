@@ -164,20 +164,19 @@ class KnowledgeBase {
   std::vector<PlaceId> place_of_vertex_;
 };
 
-/// Convenience: parses an N-Triples file and builds a KnowledgeBase.
+/// Convenience: parses an N-Triples file line by line (ParseNTriplesFile
+/// in rdf/turtle_parser.h) and builds a KnowledgeBase.
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromFile(
     const std::string& path, KnowledgeBaseOptions options = {});
 
-/// Convenience: same, from an in-memory N-Triples document.
+/// Convenience: same, from an in-memory N-Triples or Turtle document
+/// (one lexer reads both; see rdf/turtle_parser.h).
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromString(
-    std::string_view ntriples, KnowledgeBaseOptions options = {});
+    std::string_view text, KnowledgeBaseOptions options = {});
 
-/// Convenience: parses Turtle (see rdf/turtle_parser.h) and builds a KB.
+/// Convenience: parses a Turtle file and builds a KB.
 Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromTurtleFile(
     const std::string& path, KnowledgeBaseOptions options = {});
-
-Result<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBaseFromTurtleString(
-    std::string_view turtle, KnowledgeBaseOptions options = {});
 
 }  // namespace ksp
 

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/strings.h"
+
 namespace ksp {
 
 namespace {
@@ -26,9 +28,14 @@ inline bool IsPnChar(char c) {
 }
 
 /// Stateful cursor over the whole document with prefix/base expansion.
+/// Errors are located as `where` followed by the current line number:
+/// "line 3: ..." for a document, "data.nt:17: ..." for one line of an
+/// N-Triples file.
 class TurtleCursor {
  public:
-  explicit TurtleCursor(std::string_view text) : text_(text) {}
+  explicit TurtleCursor(std::string_view text, std::string_view where = "line ",
+                        size_t line = 1)
+      : text_(text), where_(where), line_(line) {}
 
   void SkipWhitespaceAndComments() {
     while (pos_ < text_.size()) {
@@ -87,7 +94,8 @@ class TurtleCursor {
   }
 
   Status Error(std::string_view message) const {
-    return Status::InvalidArgument("line " + std::to_string(line_) + ": " +
+    return Status::InvalidArgument(std::string(where_) +
+                                   std::to_string(line_) + ": " +
                                    std::string(message));
   }
 
@@ -336,7 +344,8 @@ class TurtleCursor {
 
   std::string_view text_;
   size_t pos_ = 0;
-  size_t line_ = 1;
+  std::string_view where_;
+  size_t line_;
   std::string base_;
   std::unordered_map<std::string, std::string> prefixes_;
 };
@@ -480,6 +489,75 @@ Result<uint64_t> TurtleParser::ParseFile(
   buffer << in.rdbuf();
   std::string text = buffer.str();
   return ParseString(text, sink, malformed_statements);
+}
+
+Result<uint64_t> ParseNTriplesFile(
+    const std::string& path, const std::function<void(const Triple&)>& sink) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open: " + path);
+  const std::string where = path + ":";
+  uint64_t emitted = 0;
+  std::string line;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
+    TurtleCursor cursor(line, where, line_no);
+    while (!cursor.AtEnd()) {
+      KSP_RETURN_NOT_OK(ParseStatement(&cursor, sink, &emitted));
+    }
+  }
+  return emitted;
+}
+
+std::string ToNTriplesLine(const Triple& triple) {
+  auto escape = [](const std::string& s) {
+    std::string out;
+    for (char c : s) {
+      switch (c) {
+        case '"':
+          out += "\\\"";
+          break;
+        case '\\':
+          out += "\\\\";
+          break;
+        case '\n':
+          out += "\\n";
+          break;
+        case '\r':
+          out += "\\r";
+          break;
+        case '\t':
+          out += "\\t";
+          break;
+        default:
+          out.push_back(c);
+      }
+    }
+    return out;
+  };
+
+  std::string line;
+  auto append_term = [&](const std::string& term) {
+    if (StartsWith(term, "_:")) {
+      line += term;
+    } else {
+      line += "<" + term + ">";
+    }
+  };
+  append_term(triple.subject);
+  line += " ";
+  line += "<" + triple.predicate + ">";
+  line += " ";
+  if (triple.object_kind == ObjectKind::kIri) {
+    append_term(triple.object);
+  } else {
+    line += "\"" + escape(triple.object) + "\"";
+    if (!triple.language.empty()) {
+      line += "@" + triple.language;
+    } else if (!triple.datatype.empty()) {
+      line += "^^<" + triple.datatype + ">";
+    }
+  }
+  line += " .";
+  return line;
 }
 
 }  // namespace ksp

@@ -27,7 +27,8 @@ namespace ksp {
 /// language tags / datatypes, bare numeric and boolean literals, '#'
 /// comments, blank node labels (_:x). Not supported (rejected with a
 /// position-carrying error): anonymous blank nodes '[...]', collections
-/// '(...)', multi-line """literals""".
+/// '(...)', multi-line """literals""". An N-Triples document parses with
+/// ParseString as is; ParseNTriplesFile streams an N-Triples file.
 class TurtleParser {
  public:
   struct Options {
@@ -53,6 +54,17 @@ class TurtleParser {
  private:
   Options options_;
 };
+
+/// Parses an N-Triples file (one statement per line) with the Turtle
+/// lexer, one line at a time, so memory does not grow with the file.
+/// Blank and '#' comment lines are skipped; the first syntax error aborts
+/// with InvalidArgument located as "path:line: ...". Returns the number
+/// of triples emitted.
+Result<uint64_t> ParseNTriplesFile(
+    const std::string& path, const std::function<void(const Triple&)>& sink);
+
+/// Serializes a triple back to one N-Triples line (escaping literals).
+std::string ToNTriplesLine(const Triple& triple);
 
 }  // namespace ksp
 

@@ -1,7 +1,6 @@
 #include "reach/reachability_index.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 
 #include "common/io_util.h"
@@ -194,67 +193,11 @@ Status ReachabilityIndex::Save(const std::string& path, FileSystem* fs,
       info);
 }
 
-Status ReachabilityIndex::SaveLegacyForTesting(
-    const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  Status st;
-  auto write_all = [&]() -> Status {
-    KSP_RETURN_NOT_OK(WritePod(f, kReachMagic));
-    KSP_RETURN_NOT_OK(WritePod(f, num_base_vertices_));
-    KSP_RETURN_NOT_OK(WritePod(f, num_terms_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, component_of_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, out_offsets_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, out_labels_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, in_offsets_));
-    KSP_RETURN_NOT_OK(WritePodVector(f, in_labels_));
-    KSP_RETURN_NOT_OK(WritePod(f, kReachMagic));
-    return Status::OK();
-  };
-  st = write_all();
-  if (std::fclose(f) != 0 && st.ok()) st = Status::IOError("close failed");
-  return st;
-}
-
-Result<ReachabilityIndex> ReachabilityIndex::LoadLegacy(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  ReachabilityIndex index;
-  auto read_all = [&]() -> Status {
-    uint32_t magic = 0;
-    KSP_RETURN_NOT_OK(ReadPod(f, &magic));
-    if (magic != kReachMagic) {
-      return Status::Corruption("bad reachability magic: " + path);
-    }
-    KSP_RETURN_NOT_OK(ReadPod(f, &index.num_base_vertices_));
-    KSP_RETURN_NOT_OK(ReadPod(f, &index.num_terms_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.component_of_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.out_offsets_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.out_labels_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.in_offsets_));
-    KSP_RETURN_NOT_OK(ReadPodVector(f, &index.in_labels_));
-    KSP_RETURN_NOT_OK(ReadPod(f, &magic));
-    if (magic != kReachMagic) {
-      return Status::Corruption("bad reachability footer: " + path);
-    }
-    return Status::OK();
-  };
-  Status st = read_all();
-  std::fclose(f);
-  if (!st.ok()) return st;
-  return index;
-}
-
 Result<ReachabilityIndex> ReachabilityIndex::Load(const std::string& path,
                                                   FileSystem* fs) {
   if (fs == nullptr) fs = DefaultFileSystem();
   auto file = fs->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();
-  auto checksummed = IsChecksummedFile(**file);
-  if (!checksummed.ok()) return checksummed.status();
-  if (!*checksummed) return LoadLegacy(path);
-
   ChecksummedReader reader(file->get());
   uint32_t version = 0;
   KSP_RETURN_NOT_OK(reader.Open(kReachMagic, &version));

@@ -43,14 +43,11 @@ class ReachabilityIndex {
   /// Persists the labeling (the expensive preprocessing artifact —
   /// Table 5 charges TF-Label construction in the tens of minutes).
   /// Save writes the checksummed v2 container atomically; Load verifies
-  /// every section CRC and still reads v1 legacy files for one release.
+  /// every section CRC.
   Status Save(const std::string& path, FileSystem* fs = nullptr,
               ArtifactInfo* info = nullptr) const;
   static Result<ReachabilityIndex> Load(const std::string& path,
                                         FileSystem* fs = nullptr);
-
-  /// v1 writer kept only for legacy-read-window tests.
-  Status SaveLegacyForTesting(const std::string& path) const;
 
   /// Total number of hub-label entries (index size metric).
   uint64_t NumLabelEntries() const;
@@ -60,8 +57,6 @@ class ReachabilityIndex {
 
  private:
   ReachabilityIndex() = default;
-
-  static Result<ReachabilityIndex> LoadLegacy(const std::string& path);
 
   bool QueryComponents(uint32_t cu, uint32_t cv) const;
 

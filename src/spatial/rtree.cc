@@ -402,138 +402,64 @@ Status RTree::Save(const std::string& path, FileSystem* fs,
       info);
 }
 
-Status RTree::SaveLegacyForTesting(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  auto write_all = [&]() -> Status {
-    KSP_RETURN_NOT_OK(WritePod(f, kRTreeMagic));
-    KSP_RETURN_NOT_OK(WritePod(f, options_.max_entries));
-    KSP_RETURN_NOT_OK(WritePod(f, options_.min_entries));
-    KSP_RETURN_NOT_OK(WritePod(f, root_));
-    KSP_RETURN_NOT_OK(WritePod<uint64_t>(f, size_));
-    KSP_RETURN_NOT_OK(WritePod<uint64_t>(f, nodes_.size()));
-    for (const Node& node : nodes_) {
-      KSP_RETURN_NOT_OK(WritePod<uint8_t>(f, node.is_leaf ? 1 : 0));
-      KSP_RETURN_NOT_OK(WritePod(f, node.parent));
-      KSP_RETURN_NOT_OK(WritePodVector(f, node.entries));
-    }
-    KSP_RETURN_NOT_OK(WritePod(f, kRTreeMagic));
-    return Status::OK();
-  };
-  Status st = write_all();
-  if (std::fclose(f) != 0 && st.ok()) st = Status::IOError("close failed");
-  return st;
-}
-
-Result<RTree> RTree::LoadLegacy(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  RTree tree;
-  auto read_all = [&]() -> Status {
-    uint32_t magic = 0;
-    KSP_RETURN_NOT_OK(ReadPod(f, &magic));
-    if (magic != kRTreeMagic) {
-      return Status::Corruption("bad rtree magic: " + path);
-    }
-    KSP_RETURN_NOT_OK(ReadPod(f, &tree.options_.max_entries));
-    KSP_RETURN_NOT_OK(ReadPod(f, &tree.options_.min_entries));
-    KSP_RETURN_NOT_OK(ReadPod(f, &tree.root_));
-    uint64_t size = 0;
-    uint64_t num_nodes = 0;
-    KSP_RETURN_NOT_OK(ReadPod(f, &size));
-    KSP_RETURN_NOT_OK(ReadPod(f, &num_nodes));
-    auto remaining = RemainingFileBytes(f);
-    if (!remaining.ok()) return remaining.status();
-    if (num_nodes > *remaining / kMinNodeBytes) {
-      return CorruptionAt(path, 0, "node count exceeds file size");
-    }
-    tree.size_ = size;
-    tree.nodes_.resize(num_nodes);
-    for (Node& node : tree.nodes_) {
-      uint8_t is_leaf = 0;
-      KSP_RETURN_NOT_OK(ReadPod(f, &is_leaf));
-      node.is_leaf = is_leaf != 0;
-      KSP_RETURN_NOT_OK(ReadPod(f, &node.parent));
-      KSP_RETURN_NOT_OK(ReadPodVector(f, &node.entries));
-    }
-    KSP_RETURN_NOT_OK(ReadPod(f, &magic));
-    if (magic != kRTreeMagic) {
-      return Status::Corruption("bad rtree footer: " + path);
-    }
-    return Status::OK();
-  };
-  Status st = read_all();
-  std::fclose(f);
-  if (!st.ok()) return st;
-  return tree;
-}
-
 Result<RTree> RTree::Load(const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = DefaultFileSystem();
   auto file = fs->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();
-  auto checksummed = IsChecksummedFile(**file);
-  if (!checksummed.ok()) return checksummed.status();
   RTree tree;
-  if (*checksummed) {
-    ChecksummedReader reader(file->get());
-    uint32_t version = 0;
-    KSP_RETURN_NOT_OK(reader.Open(kRTreeMagic, &version));
-    if (version != kRTreeFormatVersion) {
-      return CorruptionAt(path, 4, "unsupported rtree format version " +
-                                       std::to_string(version));
+  ChecksummedReader reader(file->get());
+  uint32_t version = 0;
+  KSP_RETURN_NOT_OK(reader.Open(kRTreeMagic, &version));
+  if (version != kRTreeFormatVersion) {
+    return CorruptionAt(path, 4, "unsupported rtree format version " +
+                                     std::to_string(version));
+  }
+  std::string meta;
+  const uint64_t meta_offset = reader.offset();
+  KSP_RETURN_NOT_OK(reader.ReadSection(&meta));
+  uint64_t num_nodes = 0;
+  size_t pos = 0;
+  auto parse_meta = [&]() -> Status {
+    uint64_t size = 0;
+    KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &tree.options_.max_entries));
+    KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &tree.options_.min_entries));
+    KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &tree.root_));
+    KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &size));
+    KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &num_nodes));
+    if (pos != meta.size()) {
+      return Status::Corruption("meta section size mismatch");
     }
-    std::string meta;
-    const uint64_t meta_offset = reader.offset();
-    KSP_RETURN_NOT_OK(reader.ReadSection(&meta));
-    uint64_t num_nodes = 0;
-    size_t pos = 0;
-    auto parse_meta = [&]() -> Status {
-      uint64_t size = 0;
-      KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &tree.options_.max_entries));
-      KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &tree.options_.min_entries));
-      KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &tree.root_));
-      KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &size));
-      KSP_RETURN_NOT_OK(ParsePod(meta, &pos, &num_nodes));
-      if (pos != meta.size()) {
-        return Status::Corruption("meta section size mismatch");
-      }
-      tree.size_ = size;
-      return Status::OK();
-    };
-    if (Status st = parse_meta(); !st.ok()) {
-      return CorruptionAt(path, meta_offset, st.message());
+    tree.size_ = size;
+    return Status::OK();
+  };
+  if (Status st = parse_meta(); !st.ok()) {
+    return CorruptionAt(path, meta_offset, st.message());
+  }
+  std::string nodes;
+  const uint64_t nodes_offset = reader.offset();
+  KSP_RETURN_NOT_OK(reader.ReadSection(&nodes));
+  KSP_RETURN_NOT_OK(reader.ExpectEnd());
+  if (num_nodes > nodes.size() / kMinNodeBytes) {
+    return CorruptionAt(path, nodes_offset,
+                        "node count exceeds section size");
+  }
+  tree.nodes_.resize(num_nodes);
+  pos = 0;
+  auto parse_nodes = [&]() -> Status {
+    for (Node& node : tree.nodes_) {
+      uint8_t is_leaf = 0;
+      KSP_RETURN_NOT_OK(ParsePod(nodes, &pos, &is_leaf));
+      node.is_leaf = is_leaf != 0;
+      KSP_RETURN_NOT_OK(ParsePod(nodes, &pos, &node.parent));
+      KSP_RETURN_NOT_OK(ParsePodVector(nodes, &pos, &node.entries));
     }
-    std::string nodes;
-    const uint64_t nodes_offset = reader.offset();
-    KSP_RETURN_NOT_OK(reader.ReadSection(&nodes));
-    KSP_RETURN_NOT_OK(reader.ExpectEnd());
-    if (num_nodes > nodes.size() / kMinNodeBytes) {
-      return CorruptionAt(path, nodes_offset,
-                          "node count exceeds section size");
+    if (pos != nodes.size()) {
+      return Status::Corruption("node section size mismatch");
     }
-    tree.nodes_.resize(num_nodes);
-    pos = 0;
-    auto parse_nodes = [&]() -> Status {
-      for (Node& node : tree.nodes_) {
-        uint8_t is_leaf = 0;
-        KSP_RETURN_NOT_OK(ParsePod(nodes, &pos, &is_leaf));
-        node.is_leaf = is_leaf != 0;
-        KSP_RETURN_NOT_OK(ParsePod(nodes, &pos, &node.parent));
-        KSP_RETURN_NOT_OK(ParsePodVector(nodes, &pos, &node.entries));
-      }
-      if (pos != nodes.size()) {
-        return Status::Corruption("node section size mismatch");
-      }
-      return Status::OK();
-    };
-    if (Status st = parse_nodes(); !st.ok()) {
-      return CorruptionAt(path, nodes_offset, st.message());
-    }
-  } else {
-    auto legacy = LoadLegacy(path);
-    if (!legacy.ok()) return legacy.status();
-    tree = std::move(*legacy);
+    return Status::OK();
+  };
+  if (Status st = parse_nodes(); !st.ok()) {
+    return CorruptionAt(path, nodes_offset, st.message());
   }
   if (tree.options_.max_entries < 4 || tree.options_.min_entries < 1 ||
       tree.options_.min_entries > tree.options_.max_entries / 2) {

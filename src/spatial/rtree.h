@@ -112,19 +112,13 @@ class RTree {
   /// Persists / restores the exact tree structure (node ids included, so
   /// an α-radius index built against this tree stays valid). Save writes
   /// the checksummed v2 container via temp-file + fsync + atomic rename;
-  /// Load verifies every section CRC (and still reads v1 legacy files for
-  /// one release). `fs` defaults to DefaultFileSystem().
+  /// Load verifies every section CRC. `fs` defaults to DefaultFileSystem().
   Status Save(const std::string& path, FileSystem* fs = nullptr,
               ArtifactInfo* info = nullptr) const;
   static Result<RTree> Load(const std::string& path,
                             FileSystem* fs = nullptr);
 
-  /// Writes the CRC-free v1 format — kept only so tests can exercise the
-  /// legacy-read window; removed once that window closes.
-  Status SaveLegacyForTesting(const std::string& path) const;
-
  private:
-  static Result<RTree> LoadLegacy(const std::string& path);
   uint32_t NewNode(bool is_leaf);
   uint32_t ChooseLeaf(const Rect& rect) const;
   /// PickSeeds for the configured strategy: indexes of the two entries

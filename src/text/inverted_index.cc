@@ -1,7 +1,6 @@
 #include "text/inverted_index.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <span>
 
@@ -13,13 +12,6 @@ namespace ksp {
 namespace {
 constexpr uint32_t kMagic = 0x4B535049;  // "KSPI"
 constexpr uint32_t kFormatVersion = 2;
-
-Status WriteAll(std::FILE* f, std::string_view data) {
-  if (std::fwrite(data.data(), 1, data.size(), f) != data.size()) {
-    return Status::IOError("short write");
-  }
-  return Status::OK();
-}
 
 /// Varint-delta encodes one posting list onto `*buf`.
 void AppendPostingList(std::string* buf, std::span<const VertexId> postings) {
@@ -108,54 +100,11 @@ Status DiskInvertedIndex::Write(const MemoryInvertedIndex& index,
       info);
 }
 
-Status DiskInvertedIndex::WriteLegacyForTesting(
-    const MemoryInvertedIndex& index, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open for write: " + path);
-  }
-  Status st;
-  const TermId num_terms = index.TermCount();
-
-  std::string header;
-  PutFixed32(&header, kMagic);
-  PutFixed32(&header, num_terms);
-  st = WriteAll(f, header);
-
-  std::vector<uint64_t> offsets(num_terms, 0);
-  uint64_t pos = header.size();
-  std::string buf;
-  for (TermId t = 0; t < num_terms && st.ok(); ++t) {
-    offsets[t] = pos;
-    buf.clear();
-    AppendPostingList(&buf, index.Postings(t));
-    st = WriteAll(f, buf);
-    pos += buf.size();
-  }
-
-  if (st.ok()) {
-    std::string table;
-    table.reserve(num_terms * 8 + 12);
-    for (uint64_t off : offsets) PutFixed64(&table, off);
-    PutFixed64(&table, pos);  // Offset of the table itself.
-    PutFixed32(&table, kMagic);
-    st = WriteAll(f, table);
-  }
-  if (std::fclose(f) != 0 && st.ok()) {
-    st = Status::IOError("close failed: " + path);
-  }
-  return st;
-}
-
 Result<std::unique_ptr<DiskInvertedIndex>> DiskInvertedIndex::Open(
     const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = DefaultFileSystem();
   auto file = fs->NewRandomAccessFile(path);
   if (!file.ok()) return file.status();
-  auto checksummed = IsChecksummedFile(**file);
-  if (!checksummed.ok()) return checksummed.status();
-  if (!*checksummed) return OpenLegacy(std::move(*file));
-
   auto index = std::unique_ptr<DiskInvertedIndex>(new DiskInvertedIndex());
   index->file_ = std::move(*file);
   index->file_size_ = index->file_->Size();
@@ -200,76 +149,6 @@ Result<std::unique_ptr<DiskInvertedIndex>> DiskInvertedIndex::Open(
                           "posting offset beyond blob");
     }
   }
-  return index;
-}
-
-Result<std::unique_ptr<DiskInvertedIndex>> DiskInvertedIndex::OpenLegacy(
-    std::unique_ptr<RandomAccessFile> file) {
-  const std::string path = file->path();
-  auto index = std::unique_ptr<DiskInvertedIndex>(new DiskInvertedIndex());
-  index->file_ = std::move(file);
-  const uint64_t size = index->file_->Size();
-  if (size < 20) return Status::Corruption("index file too small: " + path);
-  index->file_size_ = size;
-
-  // Footer: [table_offset fixed64][magic fixed32].
-  std::string footer;
-  KSP_RETURN_NOT_OK(index->file_->Read(size - 12, 12, &footer));
-  if (footer.size() != 12) return IOErrorAt(path, size - 12, "short read");
-  size_t fpos = 0;
-  uint64_t table_offset = 0;
-  uint32_t magic = 0;
-  KSP_RETURN_NOT_OK(GetFixed64(footer, &fpos, &table_offset));
-  KSP_RETURN_NOT_OK(GetFixed32(footer, &fpos, &magic));
-  if (magic != kMagic) return Status::Corruption("bad footer magic: " + path);
-
-  // Header: [magic fixed32][num_terms fixed32].
-  std::string header;
-  KSP_RETURN_NOT_OK(index->file_->Read(0, 8, &header));
-  if (header.size() != 8) return IOErrorAt(path, 0, "short read");
-  size_t hpos = 0;
-  uint32_t hmagic = 0;
-  uint32_t num_terms = 0;
-  KSP_RETURN_NOT_OK(GetFixed32(header, &hpos, &hmagic));
-  KSP_RETURN_NOT_OK(GetFixed32(header, &hpos, &num_terms));
-  if (hmagic != kMagic) return Status::Corruption("bad header magic: " + path);
-
-  // Lists occupy [8, table_offset); the table plus footer must fit in the
-  // rest of the file or the declared term count is corrupt.
-  if (table_offset < 8 || table_offset > size - 12 ||
-      num_terms > (size - 12 - table_offset) / 8) {
-    return CorruptionAt(path, size - 12,
-                        "offset table does not fit in file");
-  }
-  // v1 offsets are absolute file positions.
-  index->blob_offset_ = 0;
-  index->blob_size_ = table_offset;
-
-  std::string table;
-  KSP_RETURN_NOT_OK(
-      index->file_->Read(table_offset, num_terms * 8ULL, &table));
-  if (table.size() != num_terms * 8ULL) {
-    return IOErrorAt(path, table_offset, "cannot read offset table");
-  }
-  index->offsets_.resize(num_terms);
-  size_t tpos = 0;
-  for (uint32_t t = 0; t < num_terms; ++t) {
-    KSP_RETURN_NOT_OK(GetFixed64(table, &tpos, &index->offsets_[t]));
-    if (index->offsets_[t] < 8 || index->offsets_[t] > table_offset) {
-      return CorruptionAt(path, table_offset + t * 8ULL,
-                          "posting offset out of range");
-    }
-  }
-
-  // Count postings once for stats (streaming pass over the lists).
-  uint64_t total = 0;
-  std::vector<VertexId> scratch;
-  for (uint32_t t = 0; t < num_terms; ++t) {
-    scratch.clear();
-    KSP_RETURN_NOT_OK(index->GetPostings(t, &scratch));
-    total += scratch.size();
-  }
-  index->num_postings_ = total;
   return index;
 }
 

@@ -107,9 +107,7 @@ class MemoryInvertedIndex : public InvertedIndex {
 ///   table section:    num_terms fixed64 blob-relative offsets
 /// Write commits via temp-file + fsync + atomic rename; Open CRC-verifies
 /// every section (the postings blob is streamed) before any query runs,
-/// so positioned reads at query time stay checksum-covered. The CRC-free
-/// v1 layout ([magic][num_terms] lists, absolute-offset table,
-/// [table_offset][magic] footer) remains readable for one release.
+/// so positioned reads at query time stay checksum-covered.
 class DiskInvertedIndex : public InvertedIndex {
  public:
   ~DiskInvertedIndex() override = default;
@@ -121,10 +119,6 @@ class DiskInvertedIndex : public InvertedIndex {
   static Status Write(const MemoryInvertedIndex& index,
                       const std::string& path, FileSystem* fs = nullptr,
                       ArtifactInfo* info = nullptr);
-
-  /// v1 writer kept only for legacy-read-window tests.
-  static Status WriteLegacyForTesting(const MemoryInvertedIndex& index,
-                                      const std::string& path);
 
   /// Opens an index previously produced by Write().
   static Result<std::unique_ptr<DiskInvertedIndex>> Open(
@@ -159,9 +153,6 @@ class DiskInvertedIndex : public InvertedIndex {
 
  private:
   DiskInvertedIndex() = default;
-
-  static Result<std::unique_ptr<DiskInvertedIndex>> OpenLegacy(
-      std::unique_ptr<RandomAccessFile> file);
 
   std::unique_ptr<RandomAccessFile> file_;
   /// Blob-relative posting-list offsets (absolute == blob_offset_ + off).

@@ -10,8 +10,7 @@
 //     tracks covered keywords as an ordered set — looseness, match
 //     (term, vertex, distance) triples, path well-formedness, and the
 //     unqualified (+inf) verdict must agree, up to and including the
-//     64-keyword boundary. The flat and legacy frontier drivers are
-//     also diffed against each other on the same instances.
+//     64-keyword boundary.
 //  3. The contract edges: exactly 64 distinct keywords work (full_mask
 //     = ~0), duplicates dedup before the limit, and >64 distinct
 //     keywords fail with InvalidArgument.
@@ -310,14 +309,9 @@ TEST(BitsetCoverProperty, RandomTreesMatchSetBasedReferenceUpTo64Keywords) {
     ASSERT_NE(kb, nullptr);
     ASSERT_GT(kb->num_places(), 0u);
 
-    KspDatabase flat_db(kb.get());
-    flat_db.PrepareAll(/*alpha=*/3);
-    KspOptions legacy_options;
-    legacy_options.bfs_frontier = BfsFrontier::kLegacy;
-    KspDatabase legacy_db(kb.get(), legacy_options);
-    legacy_db.PrepareAll(/*alpha=*/3);
-    QueryExecutor flat_exec(&flat_db);
-    QueryExecutor legacy_exec(&legacy_db);
+    KspDatabase db(kb.get());
+    db.PrepareAll(/*alpha=*/3);
+    QueryExecutor exec(&db);
 
     // Query keywords: a random subset (sometimes all) of the planted
     // terms, shuffled, with occasional duplicates appended — the dedup
@@ -344,18 +338,11 @@ TEST(BitsetCoverProperty, RandomTreesMatchSetBasedReferenceUpTo64Keywords) {
       const std::string context = "trial " + std::to_string(trial) +
                                   " place " + std::to_string(p) + " m=" +
                                   std::to_string(take);
-      auto tree = flat_exec.ComputeTqspForPlace(p, query);
+      auto tree = exec.ComputeTqspForPlace(p, query);
       ASSERT_TRUE(tree.ok()) << context << ": " << tree.status().ToString();
       const ReferenceTree want =
           ReferenceTqsp(*kb, kb->place_vertex(p), query.keywords);
       ExpectTreeMatchesReference(*kb, *tree, want, context);
-
-      // The legacy frontier driver must agree exactly — same looseness,
-      // same matches, same paths (the A/B flag is perf-only).
-      auto legacy_tree = legacy_exec.ComputeTqspForPlace(p, query);
-      ASSERT_TRUE(legacy_tree.ok()) << context;
-      ExpectTreeMatchesReference(*kb, *legacy_tree, want,
-                                 context + " (legacy)");
     }
   }
 }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -67,10 +66,6 @@ TEST_F(ChecksummedIoTest, RoundTripsSectionsAndVersion) {
 
   auto file = DefaultFileSystem()->NewRandomAccessFile(path_);
   ASSERT_TRUE(file.ok());
-  auto is_v2 = IsChecksummedFile(**file);
-  ASSERT_TRUE(is_v2.ok());
-  EXPECT_TRUE(*is_v2);
-
   ChecksummedReader reader(file->get());
   uint32_t version = 0;
   ASSERT_TRUE(reader.Open(kTestMagic, &version).ok());
@@ -159,15 +154,15 @@ TEST_F(ChecksummedIoTest, TruncationDetected) {
     WriteFileBytes(bytes.substr(0, keep));
     auto file = DefaultFileSystem()->NewRandomAccessFile(path_);
     ASSERT_TRUE(file.ok());
-    auto is_v2 = IsChecksummedFile(**file);
-    if (!is_v2.ok()) {
-      EXPECT_TRUE(is_v2.status().IsCorruption());
-      continue;  // Shorter than the container magic itself.
-    }
-    ASSERT_TRUE(*is_v2);
     ChecksummedReader reader(file->get());
     uint32_t version = 0;
     Status status = reader.Open(kTestMagic, &version);
+    if (keep < 4) {
+      // Shorter than the container magic itself.
+      EXPECT_TRUE(status.IsCorruption())
+          << "keep=" << keep << ": " << status.ToString();
+      continue;
+    }
     std::string payload;
     if (status.ok()) status = reader.ReadSection(&payload);
     if (status.ok()) status = reader.ExpectEnd();
@@ -223,28 +218,6 @@ TEST_F(ChecksummedIoTest, ChecksumWholeFileMatchesWriterInfo) {
       ChecksumWholeFile(DefaultFileSystem(), path_, &verified).ok());
   EXPECT_EQ(verified.size_bytes, written.size_bytes);
   EXPECT_EQ(verified.crc32c, written.crc32c);
-}
-
-TEST_F(ChecksummedIoTest, ReadPodVectorRejectsOversizedPrefix) {
-  // Legacy v1 reader hardening: an 8-byte length prefix claiming 2^60
-  // elements in a 24-byte file must fail without allocating.
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint64_t huge = 1ull << 60;
-    ASSERT_TRUE(WritePod(f, huge).ok());
-    uint64_t filler = 0;
-    ASSERT_TRUE(WritePod(f, filler).ok());
-    ASSERT_TRUE(WritePod(f, filler).ok());
-    std::fclose(f);
-  }
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint32_t> v;
-  auto status = ReadPodVector(f, &v);
-  std::fclose(f);
-  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
-  EXPECT_TRUE(v.empty());
 }
 
 TEST_F(ChecksummedIoTest, ParsePodVectorRejectsOversizedPrefix) {

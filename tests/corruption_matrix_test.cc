@@ -16,6 +16,7 @@
 #include "alpha/alpha_index.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/varint.h"
 #include "core/database.h"
 #include "datagen/synthetic.h"
 #include "rdf/kb_io.h"
@@ -61,12 +62,10 @@ class CorruptionMatrixTest : public ::testing::Test {
   }
 
   /// Runs the ≥64-variant matrix over one saved artifact. `load` returns
-  /// the load status; `strict` demands that every variant FAILS (the
-  /// checksummed v2 format), while legacy files only guarantee that
-  /// failures are clean.
+  /// the load status; every variant must FAIL, cleanly.
   void RunMatrix(const std::string& path,
                  const std::function<Status(const std::string&)>& load,
-                 uint64_t seed, bool strict) {
+                 uint64_t seed) {
     const std::string pristine = ReadFileBytes(path);
     ASSERT_FALSE(pristine.empty());
     ASSERT_TRUE(load(path).ok()) << "pristine file must load";
@@ -80,10 +79,8 @@ class CorruptionMatrixTest : public ::testing::Test {
       copy[byte] ^= static_cast<char>(1u << bit);
       WriteFileBytes(path, copy);
       Status st = load(path);
-      if (strict) {
-        EXPECT_FALSE(st.ok()) << path << ": flip byte " << byte << " bit "
-                              << bit << " was not detected";
-      }
+      EXPECT_FALSE(st.ok()) << path << ": flip byte " << byte << " bit "
+                            << bit << " was not detected";
       if (!st.ok()) {
         ++failures;
         EXPECT_TRUE(st.IsCorruption() || st.IsIOError())
@@ -96,10 +93,8 @@ class CorruptionMatrixTest : public ::testing::Test {
       const size_t keep = rng.NextBounded(pristine.size());
       WriteFileBytes(path, pristine.substr(0, keep));
       Status st = load(path);
-      if (strict) {
-        EXPECT_FALSE(st.ok())
-            << path << ": truncation to " << keep << " was not detected";
-      }
+      EXPECT_FALSE(st.ok())
+          << path << ": truncation to " << keep << " was not detected";
       if (!st.ok()) {
         ++failures;
         EXPECT_TRUE(st.IsCorruption() || st.IsIOError())
@@ -108,9 +103,7 @@ class CorruptionMatrixTest : public ::testing::Test {
       }
     }
 
-    if (strict) {
-      EXPECT_EQ(failures, kBitFlipVariants + kTruncationVariants);
-    }
+    EXPECT_EQ(failures, kBitFlipVariants + kTruncationVariants);
     WriteFileBytes(path, pristine);  // Restore for any later matrix.
   }
 
@@ -125,7 +118,7 @@ TEST_F(CorruptionMatrixTest, RTreeArtifact) {
   RunMatrix(
       path,
       [](const std::string& p) { return RTree::Load(p).status(); },
-      /*seed=*/101, /*strict=*/true);
+      /*seed=*/101);
 }
 
 TEST_F(CorruptionMatrixTest, ReachabilityArtifact) {
@@ -136,7 +129,7 @@ TEST_F(CorruptionMatrixTest, ReachabilityArtifact) {
       [](const std::string& p) {
         return ReachabilityIndex::Load(p).status();
       },
-      /*seed=*/202, /*strict=*/true);
+      /*seed=*/202);
 }
 
 TEST_F(CorruptionMatrixTest, AlphaArtifact) {
@@ -145,7 +138,7 @@ TEST_F(CorruptionMatrixTest, AlphaArtifact) {
   RunMatrix(
       path,
       [](const std::string& p) { return AlphaIndex::Load(p).status(); },
-      /*seed=*/303, /*strict=*/true);
+      /*seed=*/303);
 }
 
 TEST_F(CorruptionMatrixTest, KnowledgeBaseSnapshot) {
@@ -156,7 +149,7 @@ TEST_F(CorruptionMatrixTest, KnowledgeBaseSnapshot) {
       [](const std::string& p) {
         return LoadKnowledgeBaseSnapshot(p).status();
       },
-      /*seed=*/404, /*strict=*/true);
+      /*seed=*/404);
 }
 
 TEST_F(CorruptionMatrixTest, DiskInvertedIndex) {
@@ -177,7 +170,7 @@ TEST_F(CorruptionMatrixTest, DiskInvertedIndex) {
         }
         return Status::OK();
       },
-      /*seed=*/505, /*strict=*/true);
+      /*seed=*/505);
 }
 
 TEST_F(CorruptionMatrixTest, PagedRTreeArtifact) {
@@ -199,80 +192,47 @@ TEST_F(CorruptionMatrixTest, PagedRTreeArtifact) {
         }
         return Status::OK();
       },
-      /*seed=*/1111, /*strict=*/true);
+      /*seed=*/1111);
 }
 
-// Legacy (CRC-free) files cannot detect every flipped payload bit, but
-// the hardened v1 readers must never crash, over-allocate, or return an
-// unclean error on the same matrix.
-TEST_F(CorruptionMatrixTest, LegacyArtifactsFailCleanlyAtWorst) {
-  const std::string rtree_path = dir_ + "/rtree_v1.bin";
-  ASSERT_TRUE(db_->rtree().SaveLegacyForTesting(rtree_path).ok());
-  RunMatrix(
-      rtree_path,
-      [](const std::string& p) { return RTree::Load(p).status(); },
-      /*seed=*/606, /*strict=*/false);
-
-  const std::string reach_path = dir_ + "/reach_v1.bin";
-  ASSERT_TRUE(
-      db_->reachability_index()->SaveLegacyForTesting(reach_path).ok());
-  RunMatrix(
-      reach_path,
-      [](const std::string& p) {
-        return ReachabilityIndex::Load(p).status();
-      },
-      /*seed=*/707, /*strict=*/false);
-
-  const std::string alpha_path = dir_ + "/alpha_v1.bin";
-  ASSERT_TRUE(db_->alpha_index()->SaveLegacyForTesting(alpha_path).ok());
-  RunMatrix(
-      alpha_path,
-      [](const std::string& p) { return AlphaIndex::Load(p).status(); },
-      /*seed=*/808, /*strict=*/false);
-
-  const std::string kb_path = dir_ + "/kb_v1.bin";
-  ASSERT_TRUE(SaveKnowledgeBaseLegacyForTesting(*kb_, kb_path).ok());
-  RunMatrix(
-      kb_path,
-      [](const std::string& p) {
-        return LoadKnowledgeBaseSnapshot(p).status();
-      },
-      /*seed=*/909, /*strict=*/false);
-
-  const std::string inv_path = dir_ + "/inverted_v1.bin";
-  ASSERT_TRUE(DiskInvertedIndex::WriteLegacyForTesting(
-                  kb_->inverted_index(), inv_path)
-                  .ok());
-  RunMatrix(
-      inv_path,
-      [](const std::string& p) {
-        auto index = DiskInvertedIndex::Open(p);
-        if (!index.ok()) return index.status();
-        std::vector<VertexId> out;
-        for (TermId t = 0; t < (*index)->NumTerms(); ++t) {
-          out.clear();
-          KSP_RETURN_NOT_OK((*index)->GetPostings(t, &out));
-        }
-        return Status::OK();
-      },
-      /*seed=*/1010, /*strict=*/false);
-}
-
-// Legacy files must still round-trip bit-for-pristine: the one-release
-// read window.
-TEST_F(CorruptionMatrixTest, PristineLegacyFilesStillLoad) {
-  const std::string rtree_path = dir_ + "/rtree_v1.bin";
-  ASSERT_TRUE(db_->rtree().SaveLegacyForTesting(rtree_path).ok());
-  auto rtree = RTree::Load(rtree_path);
-  ASSERT_TRUE(rtree.ok()) << rtree.status().ToString();
-  EXPECT_EQ(rtree->size(), kb_->num_places());
-
-  const std::string kb_path = dir_ + "/kb_v1.bin";
-  ASSERT_TRUE(SaveKnowledgeBaseLegacyForTesting(*kb_, kb_path).ok());
-  auto loaded = LoadKnowledgeBaseSnapshot(kb_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->num_vertices(), kb_->num_vertices());
-  EXPECT_EQ((*loaded)->num_places(), kb_->num_places());
+// The CRC-free v1 layout is no longer read: a file that opens with a
+// codec's v1 header (its artifact magic, then version 1) fails the
+// container-magic check with Corruption naming the path.
+TEST_F(CorruptionMatrixTest, LegacyV1FilesAreCorruption) {
+  struct Codec {
+    const char* name;
+    uint32_t v1_magic;
+    std::function<Status(const std::string&)> load;
+  };
+  const Codec codecs[] = {
+      {"rtree", 0x4B535254u,  // "KSRT"
+       [](const std::string& p) { return RTree::Load(p).status(); }},
+      {"reach", 0x4B535052u,  // "KSPR"
+       [](const std::string& p) {
+         return ReachabilityIndex::Load(p).status();
+       }},
+      {"alpha", 0x4B535041u,  // "KSPA"
+       [](const std::string& p) { return AlphaIndex::Load(p).status(); }},
+      {"kb", 0x4B53504Bu,  // "KSPK"
+       [](const std::string& p) {
+         return LoadKnowledgeBaseSnapshot(p).status();
+       }},
+      {"inverted", 0x4B535049u,  // "KSPI"
+       [](const std::string& p) {
+         return DiskInvertedIndex::Open(p).status();
+       }},
+  };
+  for (const Codec& codec : codecs) {
+    const std::string path = dir_ + "/" + codec.name + "_v1.bin";
+    std::string bytes;
+    PutFixed32(&bytes, codec.v1_magic);
+    PutFixed32(&bytes, 1);
+    bytes.append(64, '\0');  // Stand-in for the v1 payload.
+    WriteFileBytes(path, bytes);
+    const Status st = codec.load(path);
+    EXPECT_TRUE(st.IsCorruption()) << codec.name << ": " << st.ToString();
+    EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/io_util.h"
+#include "common/varint.h"
 #include "core/database.h"
 #include "core/executor.h"
 #include "datagen/query_gen.h"
@@ -69,10 +71,30 @@ TEST_F(EnginePersistenceTest, SaveLoadRoundTripAnswersIdentically) {
 }
 
 TEST_F(EnginePersistenceTest, MissingFilesLeaveIndexesUnbuilt) {
-  KspDatabase db(kb_.get());
-  ASSERT_TRUE(db.LoadIndexes(dir_).ok());  // Empty dir: no-op.
-  EXPECT_EQ(db.reachability_index(), nullptr);
-  EXPECT_EQ(db.alpha_index(), nullptr);
+  // A directory without a MANIFEST — empty, missing, or holding only a
+  // loose pre-manifest rtree.bin — is an IOError naming the directory,
+  // and a prepared database keeps none of its previous indexes.
+  const std::string empty = dir_ + "/empty";
+  const std::string loose = dir_ + "/loose";
+  std::filesystem::create_directories(empty);
+  std::filesystem::create_directories(loose);
+  {
+    KspDatabase built(kb_.get());
+    built.BuildRTree();
+    ASSERT_TRUE(built.rtree().Save(loose + "/rtree.bin").ok());
+  }
+  for (const std::string& dir : {empty, dir_ + "/missing", loose}) {
+    KspDatabase db(kb_.get());
+    db.PrepareAll(2);
+    auto status = db.LoadIndexes(dir);
+    EXPECT_TRUE(status.IsIOError()) << dir << ": " << status.ToString();
+    EXPECT_NE(status.message().find(dir), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(db.has_rtree()) << dir;
+    EXPECT_EQ(db.reachability_index(), nullptr) << dir;
+    EXPECT_EQ(db.alpha_index(), nullptr) << dir;
+    EXPECT_EQ(db.index_generation(), 0u) << dir;
+  }
 }
 
 TEST_F(EnginePersistenceTest, PartialSaveLoads) {
@@ -161,30 +183,35 @@ TEST_F(EnginePersistenceTest, SecondSaveAdvancesGenerationAndCollectsOld) {
   EXPECT_NE(restored.alpha_index(), nullptr);
 }
 
-TEST_F(EnginePersistenceTest, LegacyLayoutStillLoads) {
-  // Pre-manifest directories (fixed filenames, no MANIFEST) stay
-  // readable for one release.
-  KspDatabase original(kb_.get());
-  original.PrepareAll(2);
-  ASSERT_TRUE(original.rtree().Save(dir_ + "/rtree.bin").ok());
-  ASSERT_TRUE(
-      original.reachability_index()->Save(dir_ + "/reach.bin").ok());
-  ASSERT_TRUE(original.alpha_index()->Save(dir_ + "/alpha.bin").ok());
-
-  KspDatabase restored(kb_.get());
-  ASSERT_TRUE(restored.LoadIndexes(dir_).ok());
-  EXPECT_TRUE(restored.has_rtree());
-  EXPECT_NE(restored.reachability_index(), nullptr);
-  EXPECT_NE(restored.alpha_index(), nullptr);
-}
-
 TEST_F(EnginePersistenceTest, AlphaWithoutItsRTreeRejected) {
-  // α entries are keyed by R-tree node ids; loading the α file without
-  // the tree it was built against (legacy layout) must fail loudly with
+  // α entries are keyed by R-tree node ids; a MANIFEST that lists the α
+  // file without the tree it was built against must fail loudly with
   // InvalidArgument, not misalign.
   KspDatabase original(kb_.get());
   original.PrepareAll(2);
-  ASSERT_TRUE(original.alpha_index()->Save(dir_ + "/alpha.bin").ok());
+  const std::string alpha_file = "alpha-000001.bin";
+  ArtifactInfo alpha;
+  ASSERT_TRUE(original.alpha_index()
+                  ->Save(dir_ + "/" + alpha_file, nullptr, &alpha)
+                  .ok());
+  // MANIFEST layout (DESIGN.md §6): generation, entry count, then per
+  // entry its name, filename, format version, size and crc32c.
+  constexpr uint32_t kManifestMagic = 0x4B53504Du;  // "KSPM"
+  ASSERT_TRUE(WriteArtifactAtomically(
+                  DefaultFileSystem(), dir_ + "/MANIFEST", kManifestMagic,
+                  /*artifact_version=*/1,
+                  [&](ChecksummedWriter* w) {
+                    std::string body;
+                    PutVarint64(&body, 1);
+                    PutVarint64(&body, 1);
+                    PutLengthPrefixed(&body, "alpha");
+                    PutLengthPrefixed(&body, alpha_file);
+                    PutFixed32(&body, alpha.format_version);
+                    PutFixed64(&body, alpha.size_bytes);
+                    PutFixed32(&body, alpha.crc32c);
+                    return w->WriteSection(body);
+                  })
+                  .ok());
   KspDatabase restored(kb_.get());
   auto status = restored.LoadIndexes(dir_);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();

@@ -131,7 +131,8 @@ TEST_F(FaultInjectionTest, SaveInterruptedAtEveryFaultPointStaysLoadable) {
 
 TEST_F(FaultInjectionTest, InterruptedFirstSaveLeavesDirectoryEmptyEnough) {
   // No previous generation: a fault during the very first save must leave
-  // a directory that still loads (as "nothing built yet"), not a poisoned
+  // either the full generation or no MANIFEST at all (a clean IOError
+  // that leaves the database unprepared), never a poisoned
   // half-generation.
   std::filesystem::create_directories(work_);
   FaultInjectingFileSystem fs(DefaultFileSystem());
@@ -147,11 +148,18 @@ TEST_F(FaultInjectionTest, InterruptedFirstSaveLeavesDirectoryEmptyEnough) {
     fs.Disarm();
     KspDatabase restored(kb_.get());
     auto load = restored.LoadIndexes(work_);
-    ASSERT_TRUE(load.ok()) << "fault at " << fault_at << ": "
-                           << load.ToString();
-    if (status.ok()) {
-      // Fault landed after publication: full generation present.
+    if (status.ok() || load.ok()) {
+      // The MANIFEST rename landed: the full generation is present.
+      ASSERT_TRUE(load.ok()) << "fault at " << fault_at << ": "
+                             << load.ToString();
       EXPECT_TRUE(restored.has_rtree());
+      EXPECT_NE(restored.alpha_index(), nullptr);
+    } else {
+      EXPECT_TRUE(load.IsIOError()) << "fault at " << fault_at << ": "
+                                    << load.ToString();
+      EXPECT_NE(load.message().find("no MANIFEST"), std::string::npos)
+          << load.ToString();
+      EXPECT_FALSE(restored.has_rtree());
     }
   }
 }

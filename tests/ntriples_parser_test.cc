@@ -1,18 +1,34 @@
-#include "rdf/ntriples_parser.h"
+// N-Triples is Turtle's degenerate form: these cases drive every
+// N-Triples shape through TurtleParser (documents) and ParseNTriplesFile
+// (files, one line at a time).
+
+#include "rdf/turtle_parser.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 namespace ksp {
 namespace {
 
+/// Parses one N-Triples line; fails unless it yields exactly one triple.
+Result<Triple> ParseLine(std::string_view line) {
+  std::vector<Triple> triples;
+  auto count = TurtleParser().ParseString(
+      line, [&](const Triple& t) { triples.push_back(t); });
+  if (!count.ok()) return count.status();
+  if (triples.size() != 1) {
+    return Status::InvalidArgument("expected one triple, got " +
+                                   std::to_string(triples.size()));
+  }
+  return triples[0];
+}
+
 TEST(NTriplesParserTest, IriTriple) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine(
-      "<http://a.org/s> <http://a.org/p> <http://a.org/o> .");
+  auto r = ParseLine("<http://a.org/s> <http://a.org/p> <http://a.org/o> .");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->subject, "http://a.org/s");
   EXPECT_EQ(r->predicate, "http://a.org/p");
@@ -21,8 +37,7 @@ TEST(NTriplesParserTest, IriTriple) {
 }
 
 TEST(NTriplesParserTest, PlainLiteral) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine("<http://a/s> <http://a/p> \"hello world\" .");
+  auto r = ParseLine("<http://a/s> <http://a/p> \"hello world\" .");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->object, "hello world");
   EXPECT_EQ(r->object_kind, ObjectKind::kLiteral);
@@ -31,16 +46,14 @@ TEST(NTriplesParserTest, PlainLiteral) {
 }
 
 TEST(NTriplesParserTest, LanguageTaggedLiteral) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine("<http://a/s> <http://a/p> \"bonjour\"@fr .");
+  auto r = ParseLine("<http://a/s> <http://a/p> \"bonjour\"@fr .");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->object, "bonjour");
   EXPECT_EQ(r->language, "fr");
 }
 
 TEST(NTriplesParserTest, TypedLiteral) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine(
+  auto r = ParseLine(
       "<http://a/s> <http://a/p> "
       "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .");
   ASSERT_TRUE(r.ok());
@@ -49,24 +62,20 @@ TEST(NTriplesParserTest, TypedLiteral) {
 }
 
 TEST(NTriplesParserTest, EscapesDecoded) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine(
+  auto r = ParseLine(
       R"(<http://a/s> <http://a/p> "tab\there\nquote\"back\\slash" .)");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->object, "tab\there\nquote\"back\\slash");
 }
 
 TEST(NTriplesParserTest, UnicodeEscapes) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine(
-      R"(<http://a/s> <http://a/p> "café \U0001F600" .)");
+  auto r = ParseLine(R"(<http://a/s> <http://a/p> "café \U0001F600" .)");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->object, "caf\xC3\xA9 \xF0\x9F\x98\x80");
 }
 
 TEST(NTriplesParserTest, BlankNodes) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine("_:b1 <http://a/p> _:b2 .");
+  auto r = ParseLine("_:b1 <http://a/p> _:b2 .");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->subject, "_:b1");
   EXPECT_EQ(r->object, "_:b2");
@@ -74,15 +83,13 @@ TEST(NTriplesParserTest, BlankNodes) {
 }
 
 TEST(NTriplesParserTest, ExtraWhitespaceTolerated) {
-  NTriplesParser parser;
-  auto r = parser.ParseLine("  <http://a/s>\t<http://a/p>   <http://a/o> . ");
+  auto r = ParseLine("  <http://a/s>\t<http://a/p>   <http://a/o> . ");
   ASSERT_TRUE(r.ok());
 }
 
 TEST(NTriplesParserTest, MalformedLines) {
-  NTriplesParser parser;
+  TurtleParser parser;
   const char* bad_lines[] = {
-      "",                                          // empty
       "<s> <p>",                                   // missing object
       "<s> <p> <o>",                               // missing dot
       "<s <p> <o> .",                              // unterminated IRI
@@ -93,20 +100,13 @@ TEST(NTriplesParserTest, MalformedLines) {
       "plain text",                                // no IRI
   };
   for (const char* line : bad_lines) {
-    auto r = parser.ParseLine(line);
+    auto r = parser.ParseString(line, [](const Triple&) {});
     EXPECT_FALSE(r.ok()) << "should reject: " << line;
   }
 }
 
-TEST(NTriplesParserTest, IsBlankOrComment) {
-  EXPECT_TRUE(NTriplesParser::IsBlankOrComment(""));
-  EXPECT_TRUE(NTriplesParser::IsBlankOrComment("   "));
-  EXPECT_TRUE(NTriplesParser::IsBlankOrComment("# a comment"));
-  EXPECT_FALSE(NTriplesParser::IsBlankOrComment("<s> <p> <o> ."));
-}
-
 TEST(NTriplesParserTest, ParseStringCountsAndSkipsComments) {
-  NTriplesParser parser;
+  TurtleParser parser;
   std::string doc =
       "# header\n"
       "<http://a/s> <http://a/p> <http://a/o> .\n"
@@ -120,26 +120,11 @@ TEST(NTriplesParserTest, ParseStringCountsAndSkipsComments) {
 }
 
 TEST(NTriplesParserTest, StrictModeReportsLineNumber) {
-  NTriplesParser parser;
+  TurtleParser parser;
   std::string doc = "<http://a/s> <http://a/p> <http://a/o> .\nbroken\n";
   auto r = parser.ParseString(doc, [](const Triple&) {});
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
-}
-
-TEST(NTriplesParserTest, LenientModeSkipsMalformed) {
-  NTriplesParser::Options options;
-  options.strict = false;
-  NTriplesParser parser(options);
-  std::string doc =
-      "<http://a/s> <http://a/p> <http://a/o> .\n"
-      "broken line\n"
-      "<http://a/s2> <http://a/p> <http://a/o> .\n";
-  uint64_t malformed = 0;
-  auto r = parser.ParseString(doc, [](const Triple&) {}, &malformed);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 2u);
-  EXPECT_EQ(malformed, 1u);
 }
 
 TEST(NTriplesParserTest, ParseFileRoundTrip) {
@@ -156,20 +141,30 @@ TEST(NTriplesParserTest, ParseFileRoundTrip) {
     out << "# comment\r\n";
     out << ToNTriplesLine(original) << "\n";
   }
-  NTriplesParser parser;
   std::vector<Triple> parsed;
-  auto r = parser.ParseFile(path, [&](const Triple& t) {
+  auto r = ParseNTriplesFile(path, [&](const Triple& t) {
     parsed.push_back(t);
   });
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(*r, 1u);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0], original);
+
+  // A malformed third line fails with the file's path and line number.
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "<http://a/s> <http://a/p> \"unterminated .\n";
+  }
+  r = ParseNTriplesFile(path, [](const Triple&) {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument());
+  EXPECT_NE(r.status().message().find(path + ":3:"), std::string::npos)
+      << r.status().ToString();
   std::remove(path.c_str());
 }
 
 TEST(NTriplesParserTest, ParseMissingFileIsIOError) {
-  NTriplesParser parser;
-  auto r = parser.ParseFile("/nonexistent/path.nt", [](const Triple&) {});
+  auto r = ParseNTriplesFile("/nonexistent/path.nt", [](const Triple&) {});
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsIOError());
 }

@@ -190,9 +190,11 @@ TEST(ServiceSwapTest, FailedSwapLeavesCurrentGenerationServing) {
 
   auto client = KspClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
-  auto bad = client->Swap("/nonexistent/ksp-swap-target");
+  const std::string missing = "/nonexistent/ksp-swap-target";
+  auto bad = client->Swap(missing);
   ASSERT_TRUE(bad.ok()) << bad.status().ToString();
   EXPECT_FALSE(bad->ok());
+  EXPECT_NE(bad->message.find(missing), std::string::npos) << bad->message;
   EXPECT_EQ(server.serving_generation(), 1u);
 
   // Still serving, still exact.

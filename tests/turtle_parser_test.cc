@@ -183,7 +183,7 @@ ex:Montmajour_Abbey a ex:Monastery ;
 
 ex:Saint_Peter ex:note "Roman Catholic saint" .
 )";
-  auto kb = LoadKnowledgeBaseFromTurtleString(turtle);
+  auto kb = LoadKnowledgeBaseFromString(turtle);
   ASSERT_TRUE(kb.ok()) << kb.status().ToString();
   EXPECT_EQ((*kb)->num_vertices(), 2u);  // Abbey + Saint (type folded).
   EXPECT_EQ((*kb)->num_places(), 1u);
