@@ -35,6 +35,8 @@ StorageBackend g_row_backend = StorageBackend::kMemory;
 uint64_t g_row_bufferpool_budget = 0;
 /// Sharded-row annotation (SetShardRowAnnotation): 0 = unsharded rows.
 uint32_t g_row_shard_count = 0;
+double g_row_shard_build_s = 0.0;
+uint64_t g_row_shard_alpha_bytes = 0;
 
 const char* BackendName(StorageBackend backend) {
   return backend == StorageBackend::kDisk ? "disk" : "memory";
@@ -247,8 +249,11 @@ std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
   return db;
 }
 
-void SetShardRowAnnotation(uint32_t shard_count) {
+void SetShardRowAnnotation(uint32_t shard_count, double build_s,
+                           uint64_t alpha_bytes) {
   g_row_shard_count = shard_count;
+  g_row_shard_build_s = build_s;
+  g_row_shard_alpha_bytes = alpha_bytes;
 }
 
 double WorkloadStats::PercentileWallUs(double q) const {
@@ -407,13 +412,16 @@ void AppendJsonRow(const char* config, Algo algo,
     std::snprintf(
         buf, sizeof(buf),
         ", \"shard\": {\"count\": %u, \"shards_visited\": %llu,"
-        " \"shards_pruned\": %llu, \"prune_rate\": %.4f}",
+        " \"shards_pruned\": %llu, \"prune_rate\": %.4f,"
+        " \"build_s\": %.4f, \"alpha_bytes\": %llu}",
         g_row_shard_count,
         static_cast<unsigned long long>(stats.sum.shards_visited),
         static_cast<unsigned long long>(stats.sum.shards_pruned),
         dispatched == 0 ? 0.0
                         : static_cast<double>(stats.sum.shards_pruned) /
-                              static_cast<double>(dispatched));
+                              static_cast<double>(dispatched),
+        g_row_shard_build_s,
+        static_cast<unsigned long long>(g_row_shard_alpha_bytes));
     row += buf;
   }
   row += "}";

@@ -148,21 +148,25 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 ///              backend: "memory"|"disk",
 ///              bufferpool: {budget_bytes, hits, misses, evictions},
 ///              shard: {count, shards_visited, shards_pruned,
-///                      prune_rate}}]}
+///                      prune_rate, build_s, alpha_bytes}}]}
 /// The schema is stable: fields are only added, never renamed (cache_budget,
-/// the cache object, backend, the bufferpool object, and the shard object
-/// are additive; schema_version stays 1). The row-level
-/// backend/bufferpool annotation reflects the most recent MakeDatabase;
-/// the shard object appears only while SetShardRowAnnotation is active.
+/// the cache object, backend, the bufferpool object, the shard object, and
+/// its build_s and alpha_bytes are additive; schema_version stays 1). The
+/// row-level backend/bufferpool annotation reflects the most recent
+/// MakeDatabase; the shard object appears only while
+/// SetShardRowAnnotation is active.
 void PrintStatsRow(const char* config, Algo algo,
                    const WorkloadStats& stats);
 
 /// Marks subsequent PrintStatsRow rows as answered by a sharded
 /// scatter-gather executor over `shard_count` shards (DESIGN.md §12):
 /// each JSON row gains a `shard` object with the count, total shards
-/// visited/pruned (from QueryStats), and the prune rate. Pass 0 to
-/// return to unsharded rows (also reset by MakeDatabase).
-void SetShardRowAnnotation(uint32_t shard_count);
+/// visited/pruned (from QueryStats), the prune rate, the wall time
+/// ShardedKspDatabase::Build took (`build_s`), and the shards' summed
+/// AlphaIndex::SizeBytes() (`alpha_bytes`). Pass 0 to return to
+/// unsharded rows (also reset by MakeDatabase).
+void SetShardRowAnnotation(uint32_t shard_count, double build_s = 0.0,
+                           uint64_t alpha_bytes = 0);
 
 /// Prints the standard header for PrintStatsRow tables.
 void PrintStatsHeader();

@@ -2,14 +2,17 @@
 // (|q.ψ| ∈ {3, 5}, k = 5, α = 3) answered by a ShardedKspDatabase at
 // K ∈ {1, 2, 4, 8} STR tiles, against the K=1 baseline. Each JSON row
 // carries the additive `shard` annotation (count, shards visited/pruned,
-// prune rate) next to the usual wall-time percentiles, so the artifact
-// shows how much of the shard fleet the mindist-ordered θ gate skips.
+// prune rate, build time, summed α-index bytes) next to the usual
+// wall-time percentiles, so the artifact shows how much of the shard
+// fleet the mindist-ordered θ gate skips and that a shard's α index
+// grows with its tile, not with the KB.
 
 #include <cstdio>
 #include <memory>
 
 #include "bench_common.h"
 #include "common/logging.h"
+#include "common/timer.h"
 #include "shard/partition.h"
 #include "shard/sharded_database.h"
 #include "shard/sharded_executor.h"
@@ -62,11 +65,22 @@ int main(int argc, char** argv) {
   PrintStatsHeader();
   for (uint32_t num_shards : {1u, 2u, 4u, 8u}) {
     auto partition = ksp::StrPartition(*kb, num_shards);
+    ksp::Timer build_timer;
+    build_timer.Start();
     auto sharded =
         ksp::ShardedKspDatabase::Build(kb.get(), options, partition,
                                        /*alpha=*/3);
+    const double build_s = build_timer.ElapsedSeconds();
     KSP_CHECK(sharded.ok()) << sharded.status().ToString();
-    SetShardRowAnnotation(num_shards);
+    uint64_t alpha_bytes = 0;
+    for (uint32_t i = 0; i < (*sharded)->num_shards(); ++i) {
+      const ksp::KspDatabase* shard = (*sharded)->shard(i);
+      if (shard != nullptr) alpha_bytes += shard->alpha_index()->SizeBytes();
+    }
+    std::printf("K=%u: build %.3f s, alpha index %.2f MiB over all shards\n",
+                num_shards, build_s,
+                static_cast<double>(alpha_bytes) / (1 << 20));
+    SetShardRowAnnotation(num_shards, build_s, alpha_bytes);
 
     for (uint32_t m : {3u, 5u}) {
       ksp::QueryGenOptions qopt;

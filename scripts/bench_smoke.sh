@@ -62,7 +62,8 @@ EOF
 # Sharded scatter-gather smoke (DESIGN.md §12): the fig5-style workload
 # over K ∈ {1,2,4,8} STR shards. The K=4 rows must show shard-level
 # pruning actually firing — the whole point of mindist-ordered dispatch
-# under the shared θ.
+# under the shared θ — and each shard's α index must cover only its own
+# tile, so the α bytes summed over the shards stay near K=1's at every K.
 SHARD_OUT="$(mktemp /tmp/ksp_bench_shard_smoke.XXXXXX.json)"
 trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}"' EXIT
 KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
@@ -79,7 +80,14 @@ k4 = [r for r in rows if r["shard"]["count"] == 4]
 assert k4, "no K=4 rows"
 pruned = sum(r["shard"]["shards_pruned"] for r in k4)
 assert pruned >= 1, f"K=4 pruned no shards: {k4}"
-print(f"sharded smoke OK: {len(rows)} rows, K=4 pruned {pruned} shards")
+alpha = {r["shard"]["count"]: r["shard"]["alpha_bytes"] for r in rows}
+for k, size in sorted(alpha.items()):
+    assert size <= 1.25 * alpha[1], \
+        f"K={k} shards hold {size} alpha bytes, over 1.25x K=1's {alpha[1]}"
+ratios = ", ".join(f"K={k} {size / alpha[1]:.2f}x"
+                   for k, size in sorted(alpha.items()))
+print(f"sharded smoke OK: {len(rows)} rows, K=4 pruned {pruned} shards, "
+      f"alpha bytes {ratios}")
 EOF
 
 # Micro-component smoke (DESIGN.md §13): one traced run of the hot-path

@@ -9,37 +9,12 @@ namespace ksp {
 
 namespace {
 
-/// (term, distance) pair of one entry's word neighborhood, sorted by term.
+/// (term, distance) pair of one entry's word neighborhood, in the order
+/// its term was first reached (place) or first merged (node).
 struct WordDist {
   TermId term;
   uint8_t distance;
 };
-
-/// Merges two sorted WNs taking the minimum distance per term.
-std::vector<WordDist> MergeMin(const std::vector<WordDist>& a,
-                               const std::vector<WordDist>& b) {
-  std::vector<WordDist> out;
-  out.reserve(a.size() + b.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].term == b[j].term) {
-      out.push_back(WordDist{a[i].term,
-                             std::min(a[i].distance, b[j].distance)});
-      ++i;
-      ++j;
-    } else if (a[i].term < b[j].term) {
-      out.push_back(a[i]);
-      ++i;
-    } else {
-      out.push_back(b[j]);
-      ++j;
-    }
-  }
-  out.insert(out.end(), a.begin() + i, a.end());
-  out.insert(out.end(), b.begin() + j, b.end());
-  return out;
-}
 
 }  // namespace
 
@@ -53,27 +28,38 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
 
   const Graph& graph = kb.graph();
   const DocumentStore& docs = kb.documents();
-  const VertexId n = graph.num_vertices();
+  const TermId num_terms = kb.num_terms();
 
-  // --- Per-place WNs: bounded BFS collecting first-seen terms. ---
+  // One epoch per BFS and per node merge: visit_epoch / term_epoch hold
+  // the epoch that last touched a vertex / term, so no scratch is reset
+  // between roots.
+  uint32_t epoch = 0;
+  std::vector<uint32_t> visit_epoch(graph.num_vertices(), 0xFFFFFFFFu);
+  std::vector<uint32_t> term_epoch(num_terms, 0xFFFFFFFFu);
+
+  // --- Place WNs: bounded BFS from each leaf payload of `rtree`, kept
+  // in discovery order. Places outside the tree (another shard's tile)
+  // keep empty WNs, so the work follows the tree, not the KB. ---
   std::vector<std::vector<WordDist>> wns(index.num_places_ +
                                          index.num_nodes_);
-  std::vector<uint32_t> visit_epoch(n, 0xFFFFFFFFu);
-  std::vector<uint32_t> term_epoch(kb.num_terms(), 0xFFFFFFFFu);
   std::vector<VertexId> frontier;
   std::vector<VertexId> next_frontier;
-
-  for (PlaceId p = 0; p < index.num_places_; ++p) {
+  rtree.ForEachLeafEntry([&](const RTree::Entry& e) {
+    KSP_CHECK(e.id < index.num_places_)
+        << "R-tree payload " << e.id << " is not a place of the KB";
+    const PlaceId p = static_cast<PlaceId>(e.id);
     const VertexId root = kb.place_vertex(p);
     std::vector<WordDist>& wn = wns[p];
+    wn.clear();  // A repeated payload rebuilds the same WN.
+    ++epoch;
     frontier.clear();
     frontier.push_back(root);
-    visit_epoch[root] = p;
+    visit_epoch[root] = epoch;
     for (uint32_t depth = 0; depth <= alpha && !frontier.empty(); ++depth) {
       for (VertexId v : frontier) {
         for (TermId t : docs.Terms(v)) {
-          if (term_epoch[t] != p) {
-            term_epoch[t] = p;
+          if (term_epoch[t] != epoch) {
+            term_epoch[t] = epoch;
             wn.push_back(WordDist{t, static_cast<uint8_t>(depth)});
           }
         }
@@ -82,15 +68,15 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
       next_frontier.clear();
       for (VertexId v : frontier) {
         for (VertexId w : graph.OutNeighbors(v)) {
-          if (visit_epoch[w] != p) {
-            visit_epoch[w] = p;
+          if (visit_epoch[w] != epoch) {
+            visit_epoch[w] = epoch;
             next_frontier.push_back(w);
           }
         }
         if (undirected_edges) {
           for (VertexId w : graph.InNeighbors(v)) {
-            if (visit_epoch[w] != p) {
-              visit_epoch[w] = p;
+            if (visit_epoch[w] != epoch) {
+              visit_epoch[w] = epoch;
               next_frontier.push_back(w);
             }
           }
@@ -98,13 +84,12 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
       }
       frontier.swap(next_frontier);
     }
-    std::sort(wn.begin(), wn.end(),
-              [](const WordDist& a, const WordDist& b) {
-                return a.term < b.term;
-              });
-  }
+  });
 
-  // --- Node WNs bottom-up (children before parents via post-order). ---
+  // --- Node WNs bottom-up (children before parents via post-order):
+  // the term-wise minimum over the children, merged through dense
+  // per-term scratch — term_epoch marks the terms already in `merged`
+  // and term_slot holds their position there. ---
   if (!rtree.empty()) {
     std::vector<uint32_t> postorder;
     postorder.reserve(rtree.num_nodes());
@@ -124,22 +109,36 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
         }
       }
     }
+    std::vector<uint32_t> term_slot(num_terms);
+    std::vector<WordDist> merged;
     for (uint32_t node_id : postorder) {
       const RTree::Node& node = rtree.node(node_id);
-      std::vector<WordDist> merged;
+      ++epoch;
+      merged.clear();
       for (const RTree::Entry& e : node.entries) {
-        const std::vector<WordDist>& child =
-            node.is_leaf ? wns[static_cast<PlaceId>(e.id)]
-                         : wns[index.num_places_ +
-                               static_cast<uint32_t>(e.id)];
-        merged = merged.empty() ? child : MergeMin(merged, child);
+        const uint32_t child = node.is_leaf
+                                   ? static_cast<PlaceId>(e.id)
+                                   : index.num_places_ +
+                                         static_cast<uint32_t>(e.id);
+        for (const WordDist& wd : wns[child]) {
+          if (term_epoch[wd.term] != epoch) {
+            term_epoch[wd.term] = epoch;
+            term_slot[wd.term] = static_cast<uint32_t>(merged.size());
+            merged.push_back(wd);
+          } else {
+            uint8_t& distance = merged[term_slot[wd.term]].distance;
+            distance = std::min(distance, wd.distance);
+          }
+        }
       }
-      wns[index.num_places_ + node_id] = std::move(merged);
+      // Copied out at exact size; `merged` keeps its capacity.
+      wns[index.num_places_ + node_id].assign(merged.begin(), merged.end());
     }
   }
 
-  // --- Invert: term -> (entry, dist), entries ascending. ---
-  const TermId num_terms = kb.num_terms();
+  // --- Invert: term -> (entry, dist). A counting sort over entries in
+  // ascending order, so each term's list comes out sorted by entry
+  // whatever order the WNs hold their terms in. ---
   std::vector<uint64_t> counts(num_terms, 0);
   for (const auto& wn : wns) {
     for (const WordDist& wd : wn) ++counts[wd.term];

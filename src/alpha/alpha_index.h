@@ -17,11 +17,12 @@ class FileSystem;
 struct ArtifactInfo;
 
 /// §5 preprocessing: the α-radius word neighborhood WN(p) of every place
-/// (terms whose nearest occurrence is within graph distance α of p, with
-/// that distance) and WN(N) of every R-tree node (term-wise minimum over
-/// the enclosed places). Both are stored in one inverted file keyed by
-/// term, so a kSP query loads only its keywords' lists (Pruning Rules 3
-/// and 4 and the α-bound priority order of Algorithm 4).
+/// the R-tree indexes (terms whose nearest occurrence is within graph
+/// distance α of p, with that distance) and WN(N) of every R-tree node
+/// (term-wise minimum over the enclosed places). Both are stored in one
+/// inverted file keyed by term, so a kSP query loads only its keywords'
+/// lists (Pruning Rules 3 and 4 and the α-bound priority order of
+/// Algorithm 4).
 class AlphaIndex {
  public:
   /// One inverted-file posting: `entry` is a unified id — places occupy
@@ -32,9 +33,13 @@ class AlphaIndex {
     uint8_t distance;
   };
 
-  /// Builds WNs by bounded BFS from every place over out-edges (the TQSP
-  /// search direction), then bottom-up merging over `rtree`, whose leaf
-  /// payloads must be PlaceIds of `kb`.
+  /// Builds WNs by bounded BFS over out-edges (the TQSP search
+  /// direction) from each place that is a leaf payload of `rtree`, found
+  /// by a linear scan over the leaf nodes; every other place keeps an
+  /// empty WN, so a shard's index covers only its tile. Node WNs are then
+  /// merged bottom-up as term-wise minima through a dense per-term
+  /// scratch, so no WN is ever sorted. Leaf payloads must be PlaceIds of
+  /// `kb`.
   static AlphaIndex Build(const KnowledgeBase& kb, const RTree& rtree,
                           uint32_t alpha, bool undirected_edges = false);
 

@@ -110,6 +110,28 @@ Result<Manifest> ReadManifest(FileSystem* fs, const std::string& path) {
   return manifest;
 }
 
+/// True iff the leaf payloads of `rtree` are exactly the indexed place
+/// set — every KB place when `subset` is empty, else the (canonical)
+/// subset — each exactly once. Uses the linear leaf scan, so a payload
+/// is range-checked before it indexes anything.
+bool LeafPayloadsAre(const RTree& rtree, uint32_t num_places,
+                     const std::vector<PlaceId>& subset) {
+  // 1 = indexed here and not yet seen.
+  std::vector<uint8_t> pending(num_places, subset.empty() ? 1 : 0);
+  for (PlaceId p : subset) pending[p] = 1;
+  bool exact = true;
+  uint64_t seen = 0;
+  rtree.ForEachLeafEntry([&](const RTree::Entry& e) {
+    if (e.id >= num_places || pending[e.id] == 0) {
+      exact = false;
+      return;
+    }
+    pending[e.id] = 0;
+    ++seen;
+  });
+  return exact && seen == (subset.empty() ? num_places : subset.size());
+}
+
 }  // namespace
 
 KspDatabase::KspDatabase(const KnowledgeBase* kb, KspOptions options)
@@ -451,6 +473,15 @@ Status KspDatabase::LoadIndexes(const std::string& directory,
       if (rtree->size() != IndexedPlaceCount()) {
         return fail(Status::InvalidArgument(
             "saved R-tree does not match the indexed place count"));
+      }
+      // Same count is not same places: a shard directory saved for
+      // another tile would prune on this tile's MBR over the wrong
+      // places, and the α build indexes its WNs by payload.
+      if (!LeafPayloadsAre(*rtree, kb_->num_places(),
+                           options_.place_subset)) {
+        return fail(Status::InvalidArgument(
+            "saved R-tree indexes a different place set than this "
+            "database (another shard's tile?): " + directory));
       }
       rtree_ = std::make_shared<const RTree>(std::move(*rtree));
     } else if (e.name == "reach") {

@@ -156,8 +156,9 @@ class KspDatabase {
     return reach_;
   }
 
-  /// Builds the α-radius word neighborhoods and their inverted file.
-  /// Requires the R-tree (builds it first if absent).
+  /// Builds the α-radius word neighborhoods and their inverted file for
+  /// the places the R-tree indexes (a shard: its tile) and the tree's
+  /// nodes. Requires the R-tree (builds it first if absent).
   void BuildAlphaIndex(uint32_t alpha);
 
   /// Convenience: all of the above.
@@ -194,7 +195,10 @@ class KspDatabase {
   /// yields IOError, a size/checksum mismatch (stale or tampered file)
   /// or an artifact not in the checksummed v2 container yields
   /// Corruption. An index that does not match the KB (or an alpha index
-  /// without its R-tree) is rejected with InvalidArgument. On ANY
+  /// without its R-tree) is rejected with InvalidArgument, and so is an
+  /// R-tree whose leaf payloads are not exactly this database's place
+  /// set (every KB place, or place_subset — e.g. a shard directory saved
+  /// for another tile); that message names the directory. On ANY
   /// failure the database is left fully unprepared — no index survives
   /// half-loaded — so subsequent queries fail with InvalidArgument
   /// instead of mixing index generations.

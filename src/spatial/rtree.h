@@ -97,9 +97,20 @@ class RTree {
 
   uint64_t MemoryUsageBytes() const;
 
-  /// Collects all (point-rect, data) leaf entries under node `id` —
-  /// used by tests and by the α-WN bottom-up construction.
+  /// Collects all (point-rect, data) leaf entries under node `id`.
   void CollectLeafEntries(uint32_t id, std::vector<Entry>* out) const;
+
+  /// Calls `fn(entry)` for every data entry, scanning the leaf nodes in
+  /// node-id order. No child id is followed, so the scan stays in range
+  /// on any loaded tree; the α-index build and LoadIndexes' place-set
+  /// check enumerate the payloads this way.
+  template <typename Fn>
+  void ForEachLeafEntry(Fn&& fn) const {
+    for (const Node& node : nodes_) {
+      if (!node.is_leaf) continue;
+      for (const Entry& e : node.entries) fn(e);
+    }
+  }
 
   /// Range query: appends the payloads of all points inside `range`
   /// (boundary inclusive). Returns the number of nodes visited.

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "alpha/alpha_index.h"
 #include "common/rng.h"
 #include "core/database.h"
 #include "core/executor.h"
@@ -149,6 +151,73 @@ TEST_F(ShardPropertyTest, NoPruningWhenKCoversAllMatches) {
       ASSERT_EQ(want->entries[i].score, got->entries[i].score)
           << "seed " << seed << " rank " << i;
     }
+  }
+}
+
+/// Each place's (term, distance) pairs in `alpha`, in term order.
+std::vector<std::vector<std::pair<TermId, uint32_t>>> PlaceWordNeighborhoods(
+    const AlphaIndex& alpha, TermId num_terms) {
+  std::vector<std::vector<std::pair<TermId, uint32_t>>> wns(
+      alpha.num_places());
+  for (TermId t = 0; t < num_terms; ++t) {
+    for (const AlphaIndex::Posting& posting : alpha.TermPostings(t)) {
+      if (posting.entry < alpha.num_places()) {
+        wns[posting.entry].emplace_back(t, posting.distance);
+      }
+    }
+  }
+  return wns;
+}
+
+// A shard's α index holds word neighborhoods for its own tile only:
+// no place posting outside the tile, each tile place's WN equal to the
+// unsharded one, and the tiles' place postings adding up to the
+// unsharded index's — for STR tiles and for random partitions with
+// empty and single-place tiles.
+TEST_F(ShardPropertyTest, ShardAlphaIndexCoversExactlyItsTile) {
+  const uint32_t num_places = kb_->num_places();
+  const TermId num_terms = kb_->num_terms();
+  const auto want = PlaceWordNeighborhoods(*reference_->alpha_index(),
+                                           num_terms);
+  uint64_t want_postings = 0;
+  for (const auto& wn : want) want_postings += wn.size();
+
+  std::vector<ShardPartition> partitions{StrPartition(*kb_, 4)};
+  ShardPartition degenerate;
+  degenerate.tiles.resize(3);  // {place 0}, {}, {every other place}
+  degenerate.tiles[0].push_back(0);
+  for (PlaceId p = 1; p < num_places; ++p) degenerate.tiles[2].push_back(p);
+  partitions.push_back(std::move(degenerate));
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 7919);
+    partitions.push_back(RandomPartition(num_places, 2 + seed, &rng));
+  }
+
+  for (size_t round = 0; round < partitions.size(); ++round) {
+    auto sharded = ShardedKspDatabase::Build(kb_, KspOptions(),
+                                             partitions[round], /*alpha=*/3);
+    ASSERT_TRUE(sharded.ok()) << "partition " << round;
+    uint64_t got_postings = 0;
+    for (uint32_t i = 0; i < (*sharded)->num_shards(); ++i) {
+      const KspDatabase* shard = (*sharded)->shard(i);
+      if (shard == nullptr) continue;
+      const auto got = PlaceWordNeighborhoods(*shard->alpha_index(),
+                                              num_terms);
+      std::vector<bool> in_tile(num_places, false);
+      for (PlaceId p : (*sharded)->shard_places(i)) in_tile[p] = true;
+      for (PlaceId p = 0; p < num_places; ++p) {
+        got_postings += got[p].size();
+        if (in_tile[p]) {
+          EXPECT_EQ(got[p], want[p])
+              << "partition " << round << " shard " << i << " place " << p;
+        } else {
+          EXPECT_TRUE(got[p].empty())
+              << "partition " << round << " shard " << i
+              << " holds a WN for place " << p << " outside its tile";
+        }
+      }
+    }
+    EXPECT_EQ(got_postings, want_postings) << "partition " << round;
   }
 }
 
