@@ -37,6 +37,7 @@ uint64_t g_row_bufferpool_budget = 0;
 uint32_t g_row_shard_count = 0;
 double g_row_shard_build_s = 0.0;
 uint64_t g_row_shard_alpha_bytes = 0;
+uint64_t g_row_shard_alpha_postings = 0;
 
 const char* BackendName(StorageBackend backend) {
   return backend == StorageBackend::kDisk ? "disk" : "memory";
@@ -250,10 +251,11 @@ std::unique_ptr<KspDatabase> MakeDatabase(const KnowledgeBase* kb,
 }
 
 void SetShardRowAnnotation(uint32_t shard_count, double build_s,
-                           uint64_t alpha_bytes) {
+                           uint64_t alpha_bytes, uint64_t alpha_postings) {
   g_row_shard_count = shard_count;
   g_row_shard_build_s = build_s;
   g_row_shard_alpha_bytes = alpha_bytes;
+  g_row_shard_alpha_postings = alpha_postings;
 }
 
 double WorkloadStats::PercentileWallUs(double q) const {
@@ -413,7 +415,8 @@ void AppendJsonRow(const char* config, Algo algo,
         buf, sizeof(buf),
         ", \"shard\": {\"count\": %u, \"shards_visited\": %llu,"
         " \"shards_pruned\": %llu, \"prune_rate\": %.4f,"
-        " \"build_s\": %.4f, \"alpha_bytes\": %llu}",
+        " \"build_s\": %.4f, \"alpha_bytes\": %llu,"
+        " \"alpha_postings\": %llu}",
         g_row_shard_count,
         static_cast<unsigned long long>(stats.sum.shards_visited),
         static_cast<unsigned long long>(stats.sum.shards_pruned),
@@ -421,7 +424,8 @@ void AppendJsonRow(const char* config, Algo algo,
                         : static_cast<double>(stats.sum.shards_pruned) /
                               static_cast<double>(dispatched),
         g_row_shard_build_s,
-        static_cast<unsigned long long>(g_row_shard_alpha_bytes));
+        static_cast<unsigned long long>(g_row_shard_alpha_bytes),
+        static_cast<unsigned long long>(g_row_shard_alpha_postings));
     row += buf;
   }
   row += "}";

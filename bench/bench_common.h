@@ -148,10 +148,12 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 ///              backend: "memory"|"disk",
 ///              bufferpool: {budget_bytes, hits, misses, evictions},
 ///              shard: {count, shards_visited, shards_pruned,
-///                      prune_rate, build_s, alpha_bytes}}]}
+///                      prune_rate, build_s, alpha_bytes,
+///                      alpha_postings}}]}
 /// The schema is stable: fields are only added, never renamed (cache_budget,
 /// the cache object, backend, the bufferpool object, the shard object, and
-/// its build_s and alpha_bytes are additive; schema_version stays 1). The
+/// its build_s, alpha_bytes and alpha_postings are additive;
+/// schema_version stays 1). The
 /// row-level backend/bufferpool annotation reflects the most recent
 /// MakeDatabase; the shard object appears only while
 /// SetShardRowAnnotation is active.
@@ -163,10 +165,12 @@ void PrintStatsRow(const char* config, Algo algo,
 /// each JSON row gains a `shard` object with the count, total shards
 /// visited/pruned (from QueryStats), the prune rate, the wall time
 /// ShardedKspDatabase::Build took (`build_s`), and the shards' summed
-/// AlphaIndex::SizeBytes() (`alpha_bytes`). Pass 0 to return to
-/// unsharded rows (also reset by MakeDatabase).
+/// AlphaIndex::SizeBytes() (`alpha_bytes`) and TotalEntries()
+/// (`alpha_postings`). Pass 0 to return to unsharded rows (also reset by
+/// MakeDatabase).
 void SetShardRowAnnotation(uint32_t shard_count, double build_s = 0.0,
-                           uint64_t alpha_bytes = 0);
+                           uint64_t alpha_bytes = 0,
+                           uint64_t alpha_postings = 0);
 
 /// Prints the standard header for PrintStatsRow tables.
 void PrintStatsHeader();

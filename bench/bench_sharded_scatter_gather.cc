@@ -2,10 +2,10 @@
 // (|q.ψ| ∈ {3, 5}, k = 5, α = 3) answered by a ShardedKspDatabase at
 // K ∈ {1, 2, 4, 8} STR tiles, against the K=1 baseline. Each JSON row
 // carries the additive `shard` annotation (count, shards visited/pruned,
-// prune rate, build time, summed α-index bytes) next to the usual
-// wall-time percentiles, so the artifact shows how much of the shard
-// fleet the mindist-ordered θ gate skips and that a shard's α index
-// grows with its tile, not with the KB.
+// prune rate, build time, summed α-index bytes and postings) next to the
+// usual wall-time percentiles, so the artifact shows how much of the
+// shard fleet the mindist-ordered θ gate skips, that a shard's α index
+// grows with its tile, not with the KB, and what a posting costs.
 
 #include <cstdio>
 #include <memory>
@@ -73,14 +73,19 @@ int main(int argc, char** argv) {
     const double build_s = build_timer.ElapsedSeconds();
     KSP_CHECK(sharded.ok()) << sharded.status().ToString();
     uint64_t alpha_bytes = 0;
+    uint64_t alpha_postings = 0;
     for (uint32_t i = 0; i < (*sharded)->num_shards(); ++i) {
       const ksp::KspDatabase* shard = (*sharded)->shard(i);
-      if (shard != nullptr) alpha_bytes += shard->alpha_index()->SizeBytes();
+      if (shard == nullptr) continue;
+      alpha_bytes += shard->alpha_index()->SizeBytes();
+      alpha_postings += shard->alpha_index()->TotalEntries();
     }
-    std::printf("K=%u: build %.3f s, alpha index %.2f MiB over all shards\n",
-                num_shards, build_s,
-                static_cast<double>(alpha_bytes) / (1 << 20));
-    SetShardRowAnnotation(num_shards, build_s, alpha_bytes);
+    std::printf(
+        "K=%u: build %.3f s, alpha index %.2f MiB, %llu postings over all "
+        "shards\n",
+        num_shards, build_s, static_cast<double>(alpha_bytes) / (1 << 20),
+        static_cast<unsigned long long>(alpha_postings));
+    SetShardRowAnnotation(num_shards, build_s, alpha_bytes, alpha_postings);
 
     for (uint32_t m : {3u, 5u}) {
       ksp::QueryGenOptions qopt;

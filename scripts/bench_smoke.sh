@@ -64,6 +64,9 @@ EOF
 # pruning actually firing — the whole point of mindist-ordered dispatch
 # under the shared θ — and each shard's α index must cover only its own
 # tile, so the α bytes summed over the shards stay near K=1's at every K.
+# An α posting is a u32 entry plus a u8 distance; the per-term offsets
+# add a little, so under 6 bytes a posting at every K means no padded
+# 8-byte posting layout has come back.
 SHARD_OUT="$(mktemp /tmp/ksp_bench_shard_smoke.XXXXXX.json)"
 trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}"' EXIT
 KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
@@ -86,8 +89,14 @@ for k, size in sorted(alpha.items()):
         f"K={k} shards hold {size} alpha bytes, over 1.25x K=1's {alpha[1]}"
 ratios = ", ".join(f"K={k} {size / alpha[1]:.2f}x"
                    for k, size in sorted(alpha.items()))
+per_posting = {r["shard"]["count"]:
+               r["shard"]["alpha_bytes"] / r["shard"]["alpha_postings"]
+               for r in rows}
+for k, b in sorted(per_posting.items()):
+    assert b < 6, f"K={k} alpha index spends {b:.2f} bytes per posting"
+costs = ", ".join(f"K={k} {b:.2f}" for k, b in sorted(per_posting.items()))
 print(f"sharded smoke OK: {len(rows)} rows, K=4 pruned {pruned} shards, "
-      f"alpha bytes {ratios}")
+      f"alpha bytes {ratios}, bytes/posting {costs}")
 EOF
 
 # Micro-component smoke (DESIGN.md §13): one traced run of the hot-path

@@ -9,11 +9,10 @@ namespace ksp {
 
 namespace {
 
-/// (term, distance) pair of one entry's word neighborhood, in the order
-/// its term was first reached (place) or first merged (node).
-struct WordDist {
-  TermId term;
-  uint8_t distance;
+/// One entry's word neighborhood: [begin, end) of Build's arena.
+struct WnRange {
+  uint64_t begin = 0;
+  uint64_t end = 0;
 };
 
 }  // namespace
@@ -37,11 +36,15 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
   std::vector<uint32_t> visit_epoch(graph.num_vertices(), 0xFFFFFFFFu);
   std::vector<uint32_t> term_epoch(num_terms, 0xFFFFFFFFu);
 
+  // Every WN lives in one entry-major arena of parallel term / distance
+  // arrays; wns[entry] is its slice.
+  std::vector<TermId> arena_terms;
+  std::vector<uint8_t> arena_distances;
+  std::vector<WnRange> wns(index.num_places_ + index.num_nodes_);
+
   // --- Place WNs: bounded BFS from each leaf payload of `rtree`, kept
   // in discovery order. Places outside the tree (another shard's tile)
   // keep empty WNs, so the work follows the tree, not the KB. ---
-  std::vector<std::vector<WordDist>> wns(index.num_places_ +
-                                         index.num_nodes_);
   std::vector<VertexId> frontier;
   std::vector<VertexId> next_frontier;
   rtree.ForEachLeafEntry([&](const RTree::Entry& e) {
@@ -49,8 +52,9 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
         << "R-tree payload " << e.id << " is not a place of the KB";
     const PlaceId p = static_cast<PlaceId>(e.id);
     const VertexId root = kb.place_vertex(p);
-    std::vector<WordDist>& wn = wns[p];
-    wn.clear();  // A repeated payload rebuilds the same WN.
+    // A repeated payload rebuilds the same WN; the earlier copy is left
+    // unreferenced in the arena.
+    wns[p].begin = arena_terms.size();
     ++epoch;
     frontier.clear();
     frontier.push_back(root);
@@ -60,7 +64,8 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
         for (TermId t : docs.Terms(v)) {
           if (term_epoch[t] != epoch) {
             term_epoch[t] = epoch;
-            wn.push_back(WordDist{t, static_cast<uint8_t>(depth)});
+            arena_terms.push_back(t);
+            arena_distances.push_back(static_cast<uint8_t>(depth));
           }
         }
       }
@@ -84,12 +89,14 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
       }
       frontier.swap(next_frontier);
     }
+    wns[p].end = arena_terms.size();
   });
 
   // --- Node WNs bottom-up (children before parents via post-order):
-  // the term-wise minimum over the children, merged through dense
-  // per-term scratch — term_epoch marks the terms already in `merged`
-  // and term_slot holds their position there. ---
+  // the term-wise minimum over the children, appended to the arena —
+  // term_epoch marks the terms already in the node's slice and term_slot
+  // holds their arena position. Appends may reallocate the arena, so
+  // children are read by index. ---
   if (!rtree.empty()) {
     std::vector<uint32_t> postorder;
     postorder.reserve(rtree.num_nodes());
@@ -109,50 +116,57 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
         }
       }
     }
-    std::vector<uint32_t> term_slot(num_terms);
-    std::vector<WordDist> merged;
+    std::vector<uint64_t> term_slot(num_terms);
     for (uint32_t node_id : postorder) {
       const RTree::Node& node = rtree.node(node_id);
       ++epoch;
-      merged.clear();
+      const uint64_t begin = arena_terms.size();
       for (const RTree::Entry& e : node.entries) {
         const uint32_t child = node.is_leaf
                                    ? static_cast<PlaceId>(e.id)
                                    : index.num_places_ +
                                          static_cast<uint32_t>(e.id);
-        for (const WordDist& wd : wns[child]) {
-          if (term_epoch[wd.term] != epoch) {
-            term_epoch[wd.term] = epoch;
-            term_slot[wd.term] = static_cast<uint32_t>(merged.size());
-            merged.push_back(wd);
+        const WnRange range = wns[child];
+        for (uint64_t i = range.begin; i < range.end; ++i) {
+          const TermId t = arena_terms[i];
+          const uint8_t distance = arena_distances[i];
+          if (term_epoch[t] != epoch) {
+            term_epoch[t] = epoch;
+            term_slot[t] = arena_terms.size();
+            arena_terms.push_back(t);
+            arena_distances.push_back(distance);
           } else {
-            uint8_t& distance = merged[term_slot[wd.term]].distance;
-            distance = std::min(distance, wd.distance);
+            uint8_t& kept = arena_distances[term_slot[t]];
+            kept = std::min(kept, distance);
           }
         }
       }
-      // Copied out at exact size; `merged` keeps its capacity.
-      wns[index.num_places_ + node_id].assign(merged.begin(), merged.end());
+      wns[index.num_places_ + node_id] = {begin, arena_terms.size()};
     }
   }
 
   // --- Invert: term -> (entry, dist). A counting sort over entries in
   // ascending order, so each term's list comes out sorted by entry
-  // whatever order the WNs hold their terms in. ---
-  std::vector<uint64_t> counts(num_terms, 0);
-  for (const auto& wn : wns) {
-    for (const WordDist& wd : wn) ++counts[wd.term];
+  // whatever order the WNs hold their terms in. cursor[t] first counts
+  // t's postings, then holds t's next write position. ---
+  std::vector<uint64_t> cursor(num_terms, 0);
+  for (const WnRange& range : wns) {
+    for (uint64_t i = range.begin; i < range.end; ++i) {
+      ++cursor[arena_terms[i]];
+    }
   }
   index.offsets_.assign(num_terms + 1, 0);
   for (TermId t = 0; t < num_terms; ++t) {
-    index.offsets_[t + 1] = index.offsets_[t] + counts[t];
+    index.offsets_[t + 1] = index.offsets_[t] + cursor[t];
+    cursor[t] = index.offsets_[t];
   }
-  index.postings_.resize(index.offsets_[num_terms]);
-  std::vector<uint64_t> cursor(index.offsets_.begin(),
-                               index.offsets_.end() - 1);
+  index.entries_.resize(index.offsets_[num_terms]);
+  index.distances_.resize(index.offsets_[num_terms]);
   for (uint32_t entry = 0; entry < wns.size(); ++entry) {
-    for (const WordDist& wd : wns[entry]) {
-      index.postings_[cursor[wd.term]++] = Posting{entry, wd.distance};
+    for (uint64_t i = wns[entry].begin; i < wns[entry].end; ++i) {
+      const uint64_t pos = cursor[arena_terms[i]]++;
+      index.entries_[pos] = entry;
+      index.distances_[pos] = arena_distances[i];
     }
   }
   return index;
@@ -160,10 +174,9 @@ AlphaIndex AlphaIndex::Build(const KnowledgeBase& kb, const RTree& rtree,
 
 namespace {
 constexpr uint32_t kAlphaMagic = 0x4B535041u;  // "KSPA"
-}  // namespace
-
-namespace {
-constexpr uint32_t kAlphaFormatVersion = 2;
+/// v3: meta, then the offsets, entries and distances arrays, one
+/// pod-vector section each (5 bytes per posting, no padding).
+constexpr uint32_t kAlphaFormatVersion = 3;
 }  // namespace
 
 Status AlphaIndex::Save(const std::string& path, FileSystem* fs,
@@ -177,12 +190,9 @@ Status AlphaIndex::Save(const std::string& path, FileSystem* fs,
         AppendPod(&meta, num_places_);
         AppendPod(&meta, num_nodes_);
         KSP_RETURN_NOT_OK(w->WriteSection(meta));
-        std::string buf;
-        AppendPodVector(&buf, offsets_);
-        KSP_RETURN_NOT_OK(w->WriteSection(buf));
-        buf.clear();
-        AppendPodVector(&buf, postings_);
-        return w->WriteSection(buf);
+        KSP_RETURN_NOT_OK(w->WritePodVectorSection(offsets_));
+        KSP_RETURN_NOT_OK(w->WritePodVectorSection(entries_));
+        return w->WritePodVectorSection(distances_);
       },
       info);
 }
@@ -197,7 +207,8 @@ Result<AlphaIndex> AlphaIndex::Load(const std::string& path,
   KSP_RETURN_NOT_OK(reader.Open(kAlphaMagic, &version));
   if (version != kAlphaFormatVersion) {
     return CorruptionAt(path, 4, "unsupported alpha-index format version " +
-                                     std::to_string(version));
+                                     std::to_string(version) +
+                                     "; rebuild the index");
   }
   AlphaIndex index;
   std::string meta;
@@ -210,45 +221,71 @@ Result<AlphaIndex> AlphaIndex::Load(const std::string& path,
   if (!st.ok() || pos != meta.size()) {
     return CorruptionAt(path, meta_offset, "malformed meta section");
   }
-  auto read_vec = [&](auto* vec) -> Status {
-    std::string section;
-    const uint64_t section_offset = reader.offset();
-    KSP_RETURN_NOT_OK(reader.ReadSection(&section));
-    size_t vpos = 0;
-    Status vst = ParsePodVector(section, &vpos, vec);
-    if (!vst.ok() || vpos != section.size()) {
-      return CorruptionAt(path, section_offset, "malformed vector section");
-    }
-    return Status::OK();
-  };
-  KSP_RETURN_NOT_OK(read_vec(&index.offsets_));
-  KSP_RETURN_NOT_OK(read_vec(&index.postings_));
+  const uint64_t offsets_at = reader.offset();
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.offsets_));
+  const uint64_t entries_at = reader.offset();
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.entries_));
+  const uint64_t distances_at = reader.offset();
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.distances_));
   KSP_RETURN_NOT_OK(reader.ExpectEnd());
-  // CSR sanity: every offset must stay inside the postings array.
-  for (uint64_t off : index.offsets_) {
-    if (off > index.postings_.size()) {
-      return CorruptionAt(path, meta_offset, "CSR offset out of range");
+
+  // The lookups index the arrays through the offsets unchecked, and
+  // binary-search each term's entries: check the whole CSR here, once.
+  const std::vector<uint64_t>& offsets = index.offsets_;
+  const std::vector<uint32_t>& entries = index.entries_;
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != entries.size()) {
+    return CorruptionAt(path, offsets_at,
+                        "term offsets do not run from 0 to the posting "
+                        "count");
+  }
+  for (size_t t = 1; t < offsets.size(); ++t) {
+    if (offsets[t] < offsets[t - 1]) {
+      return CorruptionAt(path, offsets_at,
+                          "term offsets decrease at term " +
+                              std::to_string(t - 1));
+    }
+  }
+  if (index.distances_.size() != entries.size()) {
+    return CorruptionAt(path, distances_at,
+                        "distance and entry arrays differ in length");
+  }
+  const uint64_t num_entries =
+      uint64_t{index.num_places_} + index.num_nodes_;
+  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+    for (uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+      if (entries[i] >= num_entries ||
+          (i > offsets[t] && entries[i] <= entries[i - 1])) {
+        return CorruptionAt(path, entries_at,
+                            "entries of term " + std::to_string(t) +
+                                " are not strictly ascending entry ids");
+      }
+    }
+  }
+  for (uint8_t distance : index.distances_) {
+    if (distance > index.alpha_) {
+      return CorruptionAt(path, distances_at,
+                          "posting distance exceeds alpha");
     }
   }
   return index;
 }
 
-std::span<const AlphaIndex::Posting> AlphaIndex::TermPostings(
-    TermId term) const {
-  if (term + 1 >= offsets_.size()) return {};
-  return {postings_.data() + offsets_[term],
-          postings_.data() + offsets_[term + 1]};
+AlphaIndex::PostingList AlphaIndex::TermPostings(TermId term) const {
+  if (term >= num_terms()) return PostingList(nullptr, nullptr, 0);
+  const uint64_t begin = offsets_[term];
+  return PostingList(entries_.data() + begin, distances_.data() + begin,
+                     offsets_[term + 1] - begin);
 }
 
 std::optional<uint32_t> AlphaIndex::EntryTermDistance(uint32_t entry,
                                                       TermId term) const {
-  auto postings = TermPostings(term);
-  auto it = std::lower_bound(postings.begin(), postings.end(), entry,
-                             [](const Posting& p, uint32_t e) {
-                               return p.entry < e;
-                             });
-  if (it == postings.end() || it->entry != entry) return std::nullopt;
-  return it->distance;
+  if (term >= num_terms()) return std::nullopt;
+  const uint32_t* first = entries_.data() + offsets_[term];
+  const uint32_t* last = entries_.data() + offsets_[term + 1];
+  const uint32_t* it = std::lower_bound(first, last, entry);
+  if (it == last || *it != entry) return std::nullopt;
+  return distances_[it - entries_.data()];
 }
 
 }  // namespace ksp

@@ -45,12 +45,23 @@ Status ChecksummedWriter::Start(uint32_t artifact_magic,
 }
 
 Status ChecksummedWriter::WriteSection(std::string_view payload) {
+  return WriteSectionParts({payload});
+}
+
+Status ChecksummedWriter::WriteSectionParts(
+    std::initializer_list<std::string_view> parts) {
+  uint64_t length = 0;
+  for (std::string_view part : parts) length += part.size();
   std::string frame;
-  PutFixed64(&frame, payload.size());
+  PutFixed64(&frame, length);
   KSP_RETURN_NOT_OK(RawAppend(frame));
-  KSP_RETURN_NOT_OK(RawAppend(payload));
+  uint32_t crc = 0;
+  for (std::string_view part : parts) {
+    KSP_RETURN_NOT_OK(RawAppend(part));
+    crc = Crc32cExtend(crc, part);
+  }
   frame.clear();
-  PutFixed32(&frame, Crc32c(payload));
+  PutFixed32(&frame, crc);
   return RawAppend(frame);
 }
 
@@ -117,40 +128,68 @@ Status ChecksummedReader::ReadSection(std::string* payload) {
   if (payload->size() != length) {
     return IOErrorAt(path(), frame_offset, "short read of section payload");
   }
-  std::string crc_bytes;
-  KSP_RETURN_NOT_OK(file_->Read(offset_ + 8 + length, 4, &crc_bytes));
-  size_t pos = 0;
-  uint32_t stored_crc = 0;
-  if (crc_bytes.size() != 4 ||
-      !GetFixed32(crc_bytes, &pos, &stored_crc).ok()) {
-    return CorruptionAt(path(), offset_ + 8 + length,
-                        "truncated section checksum");
-  }
-  if (stored_crc != Crc32c(*payload)) {
-    return CorruptionAt(path(), frame_offset, "section checksum mismatch");
-  }
-  offset_ += 8 + length + 4;
-  return Status::OK();
+  return FinishSection(length, Crc32c(*payload));
 }
 
 Status ChecksummedReader::VerifySection(uint64_t* payload_offset,
                                         uint64_t* payload_size) {
-  const uint64_t frame_offset = offset_;
   uint64_t length = 0;
   KSP_RETURN_NOT_OK(ReadFrameHeader(&length));
   uint32_t crc = 0;
+  KSP_RETURN_NOT_OK(StreamPayload(0, length, &crc, nullptr));
+  *payload_offset = offset_ + 8;
+  *payload_size = length;
+  return FinishSection(length, crc);
+}
+
+Status ChecksummedReader::ReadPodVectorSectionInto(
+    size_t elem_size, const std::function<char*(uint64_t)>& resize) {
+  uint64_t length = 0;
+  KSP_RETURN_NOT_OK(ReadFrameHeader(&length));
+  if (length < sizeof(uint64_t)) {
+    return CorruptionAt(path(), offset_, "vector section has no count");
+  }
+  std::string count_bytes;
+  KSP_RETURN_NOT_OK(
+      file_->Read(offset_ + 8, sizeof(uint64_t), &count_bytes));
+  size_t pos = 0;
+  uint64_t count = 0;
+  if (!ParsePod(count_bytes, &pos, &count).ok()) {
+    return IOErrorAt(path(), offset_, "short read of vector count");
+  }
+  // Checked before `resize`: ReadFrameHeader bounded `length` by the
+  // file size, so the allocation is bounded too.
+  const uint64_t body = length - sizeof(uint64_t);
+  if (body % elem_size != 0 || count != body / elem_size) {
+    return CorruptionAt(path(), offset_,
+                        "vector count " + std::to_string(count) +
+                            " does not match section length " +
+                            std::to_string(length));
+  }
+  uint32_t crc = Crc32c(count_bytes);
+  char* dst = resize(count);
+  KSP_RETURN_NOT_OK(StreamPayload(sizeof(uint64_t), body, &crc, dst));
+  return FinishSection(length, crc);
+}
+
+Status ChecksummedReader::StreamPayload(uint64_t skip, uint64_t n,
+                                        uint32_t* crc, char* dst) {
   std::string chunk;
-  for (uint64_t done = 0; done < length;) {
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(kStreamChunk, length - done));
-    KSP_RETURN_NOT_OK(file_->Read(offset_ + 8 + done, want, &chunk));
+  for (uint64_t done = 0; done < n;) {
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(kStreamChunk, n - done));
+    KSP_RETURN_NOT_OK(file_->Read(offset_ + 8 + skip + done, want, &chunk));
     if (chunk.size() != want) {
-      return IOErrorAt(path(), frame_offset,
-                       "short read of section payload");
+      return IOErrorAt(path(), offset_, "short read of section payload");
     }
-    crc = Crc32cExtend(crc, chunk);
+    *crc = Crc32cExtend(*crc, chunk);
+    if (dst != nullptr) std::memcpy(dst + done, chunk.data(), want);
     done += want;
   }
+  return Status::OK();
+}
+
+Status ChecksummedReader::FinishSection(uint64_t length, uint32_t crc) {
   std::string crc_bytes;
   KSP_RETURN_NOT_OK(file_->Read(offset_ + 8 + length, 4, &crc_bytes));
   size_t pos = 0;
@@ -161,10 +200,8 @@ Status ChecksummedReader::VerifySection(uint64_t* payload_offset,
                         "truncated section checksum");
   }
   if (stored_crc != crc) {
-    return CorruptionAt(path(), frame_offset, "section checksum mismatch");
+    return CorruptionAt(path(), offset_, "section checksum mismatch");
   }
-  *payload_offset = offset_ + 8;
-  *payload_size = length;
   offset_ += 8 + length + 4;
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -97,6 +98,19 @@ class ChecksummedWriter {
 
   Status Start(uint32_t artifact_magic, uint32_t artifact_version);
   Status WriteSection(std::string_view payload);
+  /// Writes `v` as one section whose payload is [u64 count][raw
+  /// elements] — the same bytes as WriteSection over AppendPodVector —
+  /// straight from the vector's memory, with no staging buffer.
+  template <typename T>
+  Status WritePodVectorSection(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const uint64_t count = v.size();
+    return WriteSectionParts(
+        {std::string_view(reinterpret_cast<const char*>(&count),
+                          sizeof(count)),
+         std::string_view(reinterpret_cast<const char*>(v.data()),
+                          v.size() * sizeof(T))});
+  }
   /// Syncs to stable storage; call before closing/renaming.
   Status Finish();
 
@@ -107,6 +121,9 @@ class ChecksummedWriter {
 
  private:
   Status RawAppend(std::string_view data);
+  /// Frames the concatenation of `parts` as one section, extending the
+  /// CRC across the parts.
+  Status WriteSectionParts(std::initializer_list<std::string_view> parts);
 
   WritableFile* file_;
   uint64_t offset_ = 0;
@@ -128,6 +145,22 @@ class ChecksummedReader {
   /// Reads and CRC-verifies the next section's payload.
   Status ReadSection(std::string* payload);
 
+  /// Reads a WritePodVectorSection section straight into `*v`. The frame
+  /// length is checked against the file size, and the element count
+  /// against the frame length, before `*v` is resized; the elements are
+  /// then read in 64 KiB chunks with the CRC extended as they arrive. On
+  /// any failure `*v` is left empty.
+  template <typename T>
+  Status ReadPodVectorSection(std::vector<T>* v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Status st = ReadPodVectorSectionInto(sizeof(T), [v](uint64_t count) {
+      v->resize(static_cast<size_t>(count));
+      return reinterpret_cast<char*>(v->data());
+    });
+    if (!st.ok()) v->clear();
+    return st;
+  }
+
   /// CRC-verifies the next section in streaming chunks without
   /// materializing it, returning the payload's file range — used for
   /// large regions that are later pread on demand (disk inverted index).
@@ -141,6 +174,18 @@ class ChecksummedReader {
 
  private:
   Status ReadFrameHeader(uint64_t* payload_size);
+  /// ReadPodVectorSection's untyped body: `resize(count)` sizes the
+  /// destination once the count has been validated and returns where
+  /// its count * elem_size bytes go.
+  Status ReadPodVectorSectionInto(
+      size_t elem_size, const std::function<char*(uint64_t)>& resize);
+  /// Reads the `n` payload bytes starting `skip` bytes into the current
+  /// section in 64 KiB chunks, extending `*crc` over them and copying
+  /// them to `dst` unless it is null.
+  Status StreamPayload(uint64_t skip, uint64_t n, uint32_t* crc, char* dst);
+  /// Checks the CRC stored after the current section's `length`-byte
+  /// payload against `crc`, then moves past the section.
+  Status FinishSection(uint64_t length, uint32_t crc);
 
   const RandomAccessFile* file_;
   uint64_t offset_ = 0;

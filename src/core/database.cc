@@ -506,6 +506,14 @@ Status KspDatabase::LoadIndexes(const std::string& directory,
         return fail(Status::InvalidArgument(
             "saved alpha index does not match the KB / R-tree"));
       }
+      // A term the file has no list for reads as α + 1 at every entry,
+      // which would over-prune places that do hold it.
+      if (alpha->num_terms() != kb_->num_terms()) {
+        return fail(Status::InvalidArgument(
+            "saved alpha index covers " +
+            std::to_string(alpha->num_terms()) + " terms, the KB has " +
+            std::to_string(kb_->num_terms()) + ": " + path));
+      }
       alpha_ = std::make_shared<const AlphaIndex>(std::move(*alpha));
     } else {
       return fail(Status::Corruption(

@@ -78,8 +78,10 @@ struct KspOptions {
   /// kDisk spills the graph, R-tree, and postings to paged files under
   /// `spill_directory` during preparation and serves queries from a
   /// SharedBufferPool of `buffer_pool_budget_bytes`. Reachability labels
-  /// and the α-index stay memory-resident on both backends (they are
-  /// small bitset-style summaries, not data-proportional pages).
+  /// and the α-index stay memory-resident on both backends, outside that
+  /// budget, and they are not small: at α = 3 the α-index alone is an
+  /// order of magnitude larger than everything kDisk spills (DESIGN.md
+  /// §12). `ksp_server_{alpha,reach}_index_bytes` report their size.
   StorageBackend backend = StorageBackend::kMemory;
   /// Byte budget of the shared page pool (disk backend only).
   uint64_t buffer_pool_budget_bytes = 32ULL << 20;

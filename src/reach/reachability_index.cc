@@ -174,19 +174,14 @@ Status ReachabilityIndex::Save(const std::string& path, FileSystem* fs,
         AppendPod(&meta, num_base_vertices_);
         AppendPod(&meta, num_terms_);
         KSP_RETURN_NOT_OK(w->WriteSection(meta));
-        // One section per CSR vector: each length prefix is validated
-        // against its own section payload on load.
-        std::string buf;
+        // One section per CSR vector: each element count is validated
+        // against its own section length on load.
         for (const auto* vec32 :
              {&component_of_, &out_labels_, &in_labels_}) {
-          buf.clear();
-          AppendPodVector(&buf, *vec32);
-          KSP_RETURN_NOT_OK(w->WriteSection(buf));
+          KSP_RETURN_NOT_OK(w->WritePodVectorSection(*vec32));
         }
         for (const auto* vec64 : {&out_offsets_, &in_offsets_}) {
-          buf.clear();
-          AppendPodVector(&buf, *vec64);
-          KSP_RETURN_NOT_OK(w->WriteSection(buf));
+          KSP_RETURN_NOT_OK(w->WritePodVectorSection(*vec64));
         }
         return Status::OK();
       },
@@ -215,23 +210,45 @@ Result<ReachabilityIndex> ReachabilityIndex::Load(const std::string& path,
   if (!st.ok() || pos != meta.size()) {
     return CorruptionAt(path, meta_offset, "malformed meta section");
   }
-  auto read_vec = [&](auto* vec) -> Status {
-    std::string section;
-    const uint64_t section_offset = reader.offset();
-    KSP_RETURN_NOT_OK(reader.ReadSection(&section));
-    size_t vpos = 0;
-    Status vst = ParsePodVector(section, &vpos, vec);
-    if (!vst.ok() || vpos != section.size()) {
-      return CorruptionAt(path, section_offset, "malformed vector section");
-    }
-    return Status::OK();
-  };
-  KSP_RETURN_NOT_OK(read_vec(&index.component_of_));
-  KSP_RETURN_NOT_OK(read_vec(&index.out_labels_));
-  KSP_RETURN_NOT_OK(read_vec(&index.in_labels_));
-  KSP_RETURN_NOT_OK(read_vec(&index.out_offsets_));
-  KSP_RETURN_NOT_OK(read_vec(&index.in_offsets_));
+  const uint64_t vectors_at = reader.offset();
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.component_of_));
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.out_labels_));
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.in_labels_));
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.out_offsets_));
+  KSP_RETURN_NOT_OK(reader.ReadPodVectorSection(&index.in_offsets_));
   KSP_RETURN_NOT_OK(reader.ExpectEnd());
+
+  // Queries index component_of_ by vertex, both label CSRs by component
+  // and compare labels as component ranks, all unchecked: check them
+  // here, once.
+  auto corrupt = [&](const std::string& msg) {
+    return CorruptionAt(path, vectors_at, msg);
+  };
+  if (index.component_of_.size() !=
+      uint64_t{index.num_base_vertices_} + index.num_terms_) {
+    return corrupt("component map does not cover every vertex and term");
+  }
+  if (index.out_offsets_.empty() ||
+      index.out_offsets_.size() != index.in_offsets_.size()) {
+    return corrupt("label offset arrays differ in component count");
+  }
+  const uint64_t num_components = index.out_offsets_.size() - 1;
+  for (uint32_t comp : index.component_of_) {
+    if (comp >= num_components) return corrupt("component id out of range");
+  }
+  for (const auto& [offsets, labels] :
+       {std::pair{&index.out_offsets_, &index.out_labels_},
+        std::pair{&index.in_offsets_, &index.in_labels_}}) {
+    if (offsets->front() != 0 || offsets->back() != labels->size() ||
+        !std::is_sorted(offsets->begin(), offsets->end())) {
+      return corrupt(
+          "label offsets do not run non-decreasing from 0 to the label "
+          "count");
+    }
+    for (uint32_t label : *labels) {
+      if (label >= num_components) return corrupt("label out of range");
+    }
+  }
   return index;
 }
 

@@ -42,8 +42,12 @@ class ReachabilityIndex {
 
   /// Persists the labeling (the expensive preprocessing artifact —
   /// Table 5 charges TF-Label construction in the tens of minutes).
-  /// Save writes the checksummed v2 container atomically; Load verifies
-  /// every section CRC.
+  /// Save writes the checksummed v2 container atomically, each CSR array
+  /// one section written from its own memory. Load reads each array
+  /// straight into place, verifies every section CRC, and checks the
+  /// CSR the queries index unchecked: a component for every vertex and
+  /// term vertex, label offsets non-decreasing from 0 to the label
+  /// counts, every component id and label in range.
   Status Save(const std::string& path, FileSystem* fs = nullptr,
               ArtifactInfo* info = nullptr) const;
   static Result<ReachabilityIndex> Load(const std::string& path,

@@ -7,12 +7,15 @@
 
 #include <cerrno>
 #include <cstring>
+#include <set>
 #include <utility>
 
+#include "alpha/alpha_index.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/parallel.h"
 #include "rdf/knowledge_base.h"
+#include "reach/reachability_index.h"
 #include "service/protocol.h"
 
 namespace ksp {
@@ -62,6 +65,10 @@ KspServer::KspServer(const KnowledgeBase* kb, KspOptions db_options,
       registry_.GetCounter("ksp_server_deadline_exceeded_total");
   server_metrics_.swaps = registry_.GetCounter("ksp_server_swaps_total");
   server_metrics_.queue_depth = registry_.GetGauge("ksp_server_queue_depth");
+  server_metrics_.alpha_index_bytes =
+      registry_.GetGauge("ksp_server_alpha_index_bytes");
+  server_metrics_.reach_index_bytes =
+      registry_.GetGauge("ksp_server_reach_index_bytes");
   server_metrics_.request_ms =
       registry_.GetHistogram("ksp_server_request_ms");
 }
@@ -69,8 +76,34 @@ KspServer::KspServer(const KnowledgeBase* kb, KspOptions db_options,
 KspServer::~KspServer() { Stop(); }
 
 Status KspServer::InstallState(std::shared_ptr<ServingState> state) {
+  // The memory-resident index budgets of the incoming generation, summed
+  // over its shards; shards share one reachability index, counted once.
+  std::vector<const KspDatabase*> dbs;
+  if (state->db != nullptr) dbs.push_back(state->db.get());
+  if (state->sharded != nullptr) {
+    for (uint32_t i = 0; i < state->sharded->num_shards(); ++i) {
+      if (state->sharded->shard(i) != nullptr) {
+        dbs.push_back(state->sharded->shard(i));
+      }
+    }
+  }
+  uint64_t alpha_bytes = 0;
+  uint64_t reach_bytes = 0;
+  std::set<const ReachabilityIndex*> reaches;
+  for (const KspDatabase* db : dbs) {
+    if (db->alpha_index() != nullptr) {
+      alpha_bytes += db->alpha_index()->SizeBytes();
+    }
+    const ReachabilityIndex* reach = db->reachability_index();
+    if (reach != nullptr && reaches.insert(reach).second) {
+      reach_bytes += reach->MemoryUsageBytes();
+    }
+  }
+
   std::lock_guard<std::mutex> lock(state_mu_);
   state->generation = ++installs_;
+  server_metrics_.alpha_index_bytes->Set(static_cast<double>(alpha_bytes));
+  server_metrics_.reach_index_bytes->Set(static_cast<double>(reach_bytes));
   // The one-pointer flip IS the swap: workers snapshot `serving_` per
   // request, in-flight queries keep their generation — for a sharded
   // install, the entire shard ensemble — pinned through the shared_ptr,

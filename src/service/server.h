@@ -171,6 +171,8 @@ class KspServer {
     Counter* deadline_exceeded = nullptr;
     Counter* swaps = nullptr;
     Gauge* queue_depth = nullptr;
+    Gauge* alpha_index_bytes = nullptr;
+    Gauge* reach_index_bytes = nullptr;
     Histogram* request_ms = nullptr;
   } server_metrics_;
 

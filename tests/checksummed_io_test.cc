@@ -97,6 +97,79 @@ TEST_F(ChecksummedIoTest, VerifySectionReturnsPayloadRange) {
   EXPECT_TRUE(reader.ExpectEnd().ok());
 }
 
+// A pod-vector section is byte-for-byte a WriteSection over
+// AppendPodVector, and reads back through several 64 KiB chunks.
+TEST_F(ChecksummedIoTest, PodVectorSectionRoundTripsAcrossChunks) {
+  std::vector<uint32_t> values(40000);
+  for (uint32_t i = 0; i < values.size(); ++i) values[i] = i * 2654435761u;
+  std::string buffered;
+  AppendPodVector(&buffered, values);
+  ASSERT_TRUE(WriteTestArtifact({buffered}).ok());
+  const std::string buffered_file = ReadFileBytes();
+
+  ASSERT_TRUE(WriteArtifactAtomically(
+                  DefaultFileSystem(), path_, kTestMagic, 3,
+                  [&values](ChecksummedWriter* w) {
+                    return w->WritePodVectorSection(values);
+                  })
+                  .ok());
+  EXPECT_EQ(ReadFileBytes(), buffered_file);
+
+  auto file = DefaultFileSystem()->NewRandomAccessFile(path_);
+  ASSERT_TRUE(file.ok());
+  ChecksummedReader reader(file->get());
+  uint32_t version = 0;
+  ASSERT_TRUE(reader.Open(kTestMagic, &version).ok());
+  std::vector<uint32_t> read;
+  ASSERT_TRUE(reader.ReadPodVectorSection(&read).ok());
+  EXPECT_EQ(read, values);
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+}
+
+// The count must account for the whole section, checked before the
+// vector is sized; a bad count or a bad CRC leaves the vector empty.
+TEST_F(ChecksummedIoTest, PodVectorSectionRejectsBadCountAndCrc) {
+  auto read_one = [this](std::vector<uint32_t>* out) {
+    auto file = DefaultFileSystem()->NewRandomAccessFile(path_);
+    if (!file.ok()) return file.status();
+    ChecksummedReader reader(file->get());
+    uint32_t version = 0;
+    KSP_RETURN_NOT_OK(reader.Open(kTestMagic, &version));
+    return reader.ReadPodVectorSection(out);
+  };
+  std::string payload;
+  AppendPod<uint64_t>(&payload, 1ull << 60);  // Count far past the file.
+  AppendPod<uint32_t>(&payload, 7);
+  const std::string three_values = [] {
+    std::string p;
+    AppendPodVector(&p, std::vector<uint32_t>{1, 2, 3});
+    return p;
+  }();
+  const std::vector<std::pair<const char*, std::string>> sections = {
+      {"huge count", payload},
+      {"count one short", three_values.substr(0, three_values.size() - 4)},
+      {"ragged element", three_values.substr(0, three_values.size() - 1)},
+      {"no count", "1234567"},
+  };
+  for (const auto& [name, section] : sections) {
+    ASSERT_TRUE(WriteTestArtifact({section}).ok());
+    std::vector<uint32_t> out{42};
+    const Status status = read_one(&out);
+    EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
+    EXPECT_NE(status.message().find(path_), std::string::npos) << name;
+    EXPECT_TRUE(out.empty()) << name;
+  }
+
+  ASSERT_TRUE(WriteTestArtifact({three_values}).ok());
+  std::string bytes = ReadFileBytes();
+  bytes[bytes.size() - 6] ^= 0x01;  // Inside the last element.
+  WriteFileBytes(bytes);
+  std::vector<uint32_t> out;
+  const Status status = read_one(&out);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_TRUE(out.empty());
+}
+
 TEST_F(ChecksummedIoTest, WrongArtifactMagicRejected) {
   ASSERT_TRUE(WriteTestArtifact({"x"}).ok());
   auto file = DefaultFileSystem()->NewRandomAccessFile(path_);

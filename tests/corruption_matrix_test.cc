@@ -2,7 +2,9 @@
 // deterministic bit-flip and truncation variants must each yield a clean
 // Status::Corruption / Status::IOError — never a crash, an unbounded
 // allocation, or a silently loaded index (the CI sanitizer job runs this
-// under ASan/UBSan to catch the "crash" half of that claim).
+// under ASan/UBSan to catch the "crash" half of that claim). A CRC cannot
+// catch a file written with a bad CSR, so the α and reachability codecs
+// also get CRC-valid files with one CSR defect each.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +14,10 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "alpha/alpha_index.h"
+#include "common/io_util.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/varint.h"
@@ -31,6 +35,61 @@ namespace {
 
 constexpr int kBitFlipVariants = 48;
 constexpr int kTruncationVariants = 16;
+
+/// The arrays of an α file in format v3, written CRC-valid whatever
+/// they hold, so a test can hand AlphaIndex::Load any CSR.
+struct AlphaArrays {
+  uint32_t alpha = 2;
+  uint32_t num_places = 4;
+  uint32_t num_nodes = 2;
+  std::vector<uint64_t> offsets;
+  std::vector<uint32_t> entries;
+  std::vector<uint8_t> distances;
+
+  Status Write(const std::string& path) const {
+    return WriteArtifactAtomically(
+        DefaultFileSystem(), path, /*"KSPA"*/ 0x4B535041u, /*version=*/3,
+        [this](ChecksummedWriter* w) -> Status {
+          std::string meta;
+          AppendPod(&meta, alpha);
+          AppendPod(&meta, num_places);
+          AppendPod(&meta, num_nodes);
+          KSP_RETURN_NOT_OK(w->WriteSection(meta));
+          KSP_RETURN_NOT_OK(w->WritePodVectorSection(offsets));
+          KSP_RETURN_NOT_OK(w->WritePodVectorSection(entries));
+          return w->WritePodVectorSection(distances);
+        });
+  }
+};
+
+/// The arrays of a reachability file (format v2), written CRC-valid.
+struct ReachArrays {
+  uint32_t num_base_vertices = 2;
+  uint32_t num_terms = 1;
+  std::vector<uint32_t> component_of;
+  std::vector<uint32_t> out_labels;
+  std::vector<uint32_t> in_labels;
+  std::vector<uint64_t> out_offsets;
+  std::vector<uint64_t> in_offsets;
+
+  Status Write(const std::string& path) const {
+    return WriteArtifactAtomically(
+        DefaultFileSystem(), path, /*"KSPR"*/ 0x4B535052u, /*version=*/2,
+        [this](ChecksummedWriter* w) -> Status {
+          std::string meta;
+          AppendPod(&meta, num_base_vertices);
+          AppendPod(&meta, num_terms);
+          KSP_RETURN_NOT_OK(w->WriteSection(meta));
+          for (const auto* v : {&component_of, &out_labels, &in_labels}) {
+            KSP_RETURN_NOT_OK(w->WritePodVectorSection(*v));
+          }
+          for (const auto* v : {&out_offsets, &in_offsets}) {
+            KSP_RETURN_NOT_OK(w->WritePodVectorSection(*v));
+          }
+          return Status::OK();
+        });
+  }
+};
 
 class CorruptionMatrixTest : public ::testing::Test {
  protected:
@@ -232,6 +291,136 @@ TEST_F(CorruptionMatrixTest, LegacyV1FilesAreCorruption) {
     const Status st = codec.load(path);
     EXPECT_TRUE(st.IsCorruption()) << codec.name << ": " << st.ToString();
     EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
+  }
+}
+
+// Every CSR defect of a CRC-valid α file is Corruption naming the path.
+// Unchecked, offsets {0, 2, 1, 2} would load, TermPostings(1) would be
+// 2^64 - 1 long and EntryTermDistance(5, 1) would read out of bounds.
+TEST_F(CorruptionMatrixTest, AlphaCsrDefectsAreCorruption) {
+  const std::string path = dir_ + "/alpha_csr.bin";
+  // Three terms over 4 places + 2 nodes at α = 2: term 0 at entries 1 and
+  // 4, term 1 empty, term 2 at entry 5.
+  AlphaArrays valid;
+  valid.offsets = {0, 2, 2, 3};
+  valid.entries = {1, 4, 5};
+  valid.distances = {0, 2, 1};
+  ASSERT_TRUE(valid.Write(path).ok());
+  auto loaded = AlphaIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_terms(), 3u);
+  EXPECT_EQ(loaded->TermPostings(0).size(), 2u);
+  EXPECT_EQ(loaded->EntryTermDistance(4, 0), 2u);
+  EXPECT_EQ(loaded->EntryTermDistance(5, 2), 1u);
+  EXPECT_FALSE(loaded->EntryTermDistance(5, 1).has_value());
+
+  struct Defect {
+    const char* name;
+    AlphaArrays arrays;
+  };
+  std::vector<Defect> defects;
+  auto add = [&](const char* name, auto mutate) {
+    AlphaArrays arrays = valid;
+    mutate(&arrays);
+    defects.push_back({name, std::move(arrays)});
+  };
+  add("no offsets", [](AlphaArrays* a) {
+    a->offsets.clear();
+    a->entries.clear();
+    a->distances.clear();
+  });
+  add("offsets start above 0", [](AlphaArrays* a) { a->offsets[0] = 1; });
+  add("offsets decrease", [](AlphaArrays* a) {
+    a->offsets = {0, 2, 1, 2};
+    a->entries = {1, 4};
+    a->distances = {0, 2};
+  });
+  add("last offset short of the posting count",
+      [](AlphaArrays* a) { a->offsets = {0, 2, 2, 2}; });
+  add("last offset past the posting count",
+      [](AlphaArrays* a) { a->offsets = {0, 2, 2, 4}; });
+  add("fewer distances than entries",
+      [](AlphaArrays* a) { a->distances.pop_back(); });
+  add("more distances than entries",
+      [](AlphaArrays* a) { a->distances.push_back(0); });
+  add("repeated entry in a term",
+      [](AlphaArrays* a) { a->entries = {4, 4, 5}; });
+  add("descending entries in a term",
+      [](AlphaArrays* a) { a->entries = {4, 1, 5}; });
+  add("entry id past the last node",
+      [](AlphaArrays* a) { a->entries = {1, 4, 6}; });
+  add("distance above alpha", [](AlphaArrays* a) { a->distances[1] = 3; });
+
+  for (const Defect& defect : defects) {
+    ASSERT_TRUE(defect.arrays.Write(path).ok()) << defect.name;
+    auto status = AlphaIndex::Load(path).status();
+    EXPECT_TRUE(status.IsCorruption()) << defect.name << ": "
+                                       << status.ToString();
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << defect.name << ": " << status.ToString();
+  }
+}
+
+// Every CSR defect of a CRC-valid reachability file is Corruption naming
+// the path. Unchecked, an empty component map would load and
+// Reaches(1, 0) would read out of bounds.
+TEST_F(CorruptionMatrixTest, ReachabilityCsrDefectsAreCorruption) {
+  const std::string path = dir_ + "/reach_csr.bin";
+  // Vertices 0 and 1 and term vertex 2, one component each; vertex 1
+  // reaches the term (hub rank 1 labels both), vertex 0 does not.
+  ReachArrays valid;
+  valid.component_of = {0, 1, 2};
+  valid.out_labels = {0, 1, 2};
+  valid.out_offsets = {0, 1, 2, 3};
+  valid.in_labels = {0, 1, 1, 2};
+  valid.in_offsets = {0, 1, 2, 4};
+  ASSERT_TRUE(valid.Write(path).ok());
+  auto loaded = ReachabilityIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->Reaches(1, 0));
+  EXPECT_FALSE(loaded->Reaches(0, 0));
+
+  struct Defect {
+    const char* name;
+    ReachArrays arrays;
+  };
+  std::vector<Defect> defects;
+  auto add = [&](const char* name, auto mutate) {
+    ReachArrays arrays = valid;
+    mutate(&arrays);
+    defects.push_back({name, std::move(arrays)});
+  };
+  add("empty component map",
+      [](ReachArrays* r) { r->component_of.clear(); });
+  add("component map short of the term vertices",
+      [](ReachArrays* r) { r->component_of.pop_back(); });
+  add("component id out of range",
+      [](ReachArrays* r) { r->component_of[2] = 3; });
+  add("no offsets", [](ReachArrays* r) {
+    r->out_offsets.clear();
+    r->in_offsets.clear();
+  });
+  add("offset arrays of different component counts",
+      [](ReachArrays* r) { r->in_offsets = {0, 1, 4}; });
+  add("out offsets start above 0",
+      [](ReachArrays* r) { r->out_offsets[0] = 1; });
+  add("in offsets decrease",
+      [](ReachArrays* r) { r->in_offsets = {0, 2, 1, 4}; });
+  add("out offsets short of the label count",
+      [](ReachArrays* r) { r->out_offsets = {0, 1, 2, 2}; });
+  add("in offsets past the label count",
+      [](ReachArrays* r) { r->in_offsets = {0, 1, 2, 5}; });
+  add("out label out of range",
+      [](ReachArrays* r) { r->out_labels[1] = 3; });
+  add("in label out of range", [](ReachArrays* r) { r->in_labels[3] = 3; });
+
+  for (const Defect& defect : defects) {
+    ASSERT_TRUE(defect.arrays.Write(path).ok()) << defect.name;
+    auto status = ReachabilityIndex::Load(path).status();
+    EXPECT_TRUE(status.IsCorruption()) << defect.name << ": "
+                                       << status.ToString();
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << defect.name << ": " << status.ToString();
   }
 }
 

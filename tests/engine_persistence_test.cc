@@ -218,6 +218,40 @@ TEST_F(EnginePersistenceTest, AlphaWithoutItsRTreeRejected) {
   EXPECT_EQ(restored.alpha_index(), nullptr);
 }
 
+// An α file lists every term of the vocabulary it was built over. Loaded
+// beside a KB that has since gained a term, that term would read as
+// α + 1 at every entry and prune places that hold it: refused.
+TEST_F(EnginePersistenceTest, AlphaOverAnotherVocabularyRejected) {
+  // Two KBs with the same vertices and place; the second has one more
+  // document term.
+  auto build_kb = [](bool extra_term) {
+    KnowledgeBaseBuilder builder;
+    const VertexId abbey = builder.AddEntity("http://example.org/Abbey");
+    const VertexId town = builder.AddEntity("http://example.org/Town");
+    builder.SetLocation(abbey, Point{4.6, 43.7});
+    builder.AddRelation(abbey, town, "http://example.org/nearTo");
+    if (extra_term) builder.AddDocumentTerm(town, "harbour");
+    return builder.Finish();
+  };
+  auto saved_kb = build_kb(false);
+  auto grown_kb = build_kb(true);
+  ASSERT_TRUE(saved_kb.ok() && grown_kb.ok());
+  ASSERT_EQ((*saved_kb)->num_vertices(), (*grown_kb)->num_vertices());
+  ASSERT_EQ((*saved_kb)->num_terms() + 1, (*grown_kb)->num_terms());
+
+  KspDatabase original(saved_kb->get());
+  original.BuildRTree();
+  original.BuildAlphaIndex(2);
+  ASSERT_TRUE(original.SaveIndexes(dir_).ok());
+  KspDatabase restored(grown_kb->get());
+  auto status = restored.LoadIndexes(dir_);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("terms"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(restored.alpha_index(), nullptr);
+  EXPECT_FALSE(restored.has_rtree());
+}
+
 TEST_F(EnginePersistenceTest, MismatchedKbRejected) {
   KspDatabase original(kb_.get());
   original.PrepareAll(2);

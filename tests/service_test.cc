@@ -8,13 +8,17 @@
 #include <string>
 #include <vector>
 
+#include "alpha/alpha_index.h"
 #include "core/database.h"
 #include "core/executor.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
+#include "reach/reachability_index.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "shard/partition.h"
+#include "shard/sharded_database.h"
 
 namespace ksp {
 namespace {
@@ -311,6 +315,53 @@ TEST(ServiceServerTest, DegradedBackendSurfacesInHealthAndExplain) {
   ASSERT_TRUE(query.ok());
   EXPECT_FALSE(query->ok());
   server.Stop();
+}
+
+// The two memory-resident index budgets are gauges, set on each
+// install: summed over a sharded generation's shards, with the one
+// reachability index the shards share counted once.
+TEST(ServiceServerTest, IndexByteGaugesFollowEachInstall) {
+  auto kb = MakeKb(500);
+  KspServer server(kb.get(), KspOptions(), ServerOptions());
+  auto gauge = [&server](const char* name) {
+    return server.metrics()->Snapshot().gauges.at(name);
+  };
+
+  auto db = std::make_shared<KspDatabase>(kb.get());
+  db->PrepareAll(3);
+  ASSERT_TRUE(server.ServeDatabase(db).ok());
+  EXPECT_EQ(gauge("ksp_server_alpha_index_bytes"),
+            static_cast<double>(db->alpha_index()->SizeBytes()));
+  EXPECT_EQ(gauge("ksp_server_reach_index_bytes"),
+            static_cast<double>(
+                db->reachability_index()->MemoryUsageBytes()));
+
+  auto sharded = ShardedKspDatabase::Build(kb.get(), KspOptions(),
+                                           StrPartition(*kb, 4), 3);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  uint64_t alpha_bytes = 0;
+  const ReachabilityIndex* shared_reach = nullptr;
+  for (uint32_t i = 0; i < (*sharded)->num_shards(); ++i) {
+    const KspDatabase* shard = (*sharded)->shard(i);
+    ASSERT_NE(shard, nullptr);
+    alpha_bytes += shard->alpha_index()->SizeBytes();
+    if (shared_reach == nullptr) shared_reach = shard->reachability_index();
+    ASSERT_EQ(shard->reachability_index(), shared_reach);
+  }
+  ASSERT_NE(shared_reach, nullptr);
+  ASSERT_TRUE(
+      server.ServeShardedDatabase(std::shared_ptr(std::move(*sharded)))
+          .ok());
+  EXPECT_EQ(gauge("ksp_server_alpha_index_bytes"),
+            static_cast<double>(alpha_bytes));
+  EXPECT_EQ(gauge("ksp_server_reach_index_bytes"),
+            static_cast<double>(shared_reach->MemoryUsageBytes()));
+
+  auto rtree_only = std::make_shared<KspDatabase>(kb.get());
+  rtree_only->BuildRTree();
+  ASSERT_TRUE(server.ServeDatabase(rtree_only).ok());
+  EXPECT_EQ(gauge("ksp_server_alpha_index_bytes"), 0.0);
+  EXPECT_EQ(gauge("ksp_server_reach_index_bytes"), 0.0);
 }
 
 TEST(ServiceServerTest, NoDatabaseMeansUnavailable) {
