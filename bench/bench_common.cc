@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <thread>
+
+#include <unistd.h>
 
 #include "common/logging.h"
 #include "rdf/kb_io.h"
@@ -58,6 +62,28 @@ std::string JsonEscape(const char* s) {
     out.push_back(*s);
   }
   return out;
+}
+
+std::string HostName() {
+  char buf[256] = {};
+  if (gethostname(buf, sizeof(buf) - 1) != 0) return "unknown";
+  return buf;
+}
+
+/// HEAD of the source tree this bench was built from, or "" when that
+/// tree is not the top of a git checkout (an exported copy, possibly
+/// inside some other repository) or git cannot run.
+std::string GitSha() {
+  const std::string command = std::string("git -C '") + KSP_SOURCE_DIR +
+                              "' rev-parse --show-toplevel HEAD 2>/dev/null";
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char top[4096] = {};
+  char sha[64] = {};
+  const bool read = std::fscanf(pipe, "%4095s %63s", top, sha) == 2;
+  if (::pclose(pipe) != 0 || !read) return "";
+  std::error_code ec;
+  return std::filesystem::equivalent(top, KSP_SOURCE_DIR, ec) ? sha : "";
 }
 }  // namespace
 
@@ -186,14 +212,18 @@ int Finish() {
                   " \"time_limit_ms\": %g, \"intra_threads\": %u,"
                   " \"warmup\": %zu, \"repeat\": %zu,"
                   " \"cache_budget\": %llu, \"backend\": \"%s\","
-                  " \"bufferpool_budget\": %llu},\n  \"rows\": [\n",
+                  " \"bufferpool_budget\": %llu, \"nproc\": %u,",
                   JsonEscape(g_bench_id.c_str()).c_str(), g_env.scale,
                   g_env.queries, g_env.time_limit_ms, g_env.intra_threads,
                   g_env.warmup, g_env.repeat,
                   static_cast<unsigned long long>(g_env.cache_budget),
                   BackendName(g_env.backend),
-                  static_cast<unsigned long long>(g_env.bufferpool_budget));
+                  static_cast<unsigned long long>(g_env.bufferpool_budget),
+                  std::thread::hardware_concurrency());
     std::string doc = buf;
+    doc += " \"host\": \"" + JsonEscape(HostName().c_str()) +
+           "\", \"git_sha\": \"" + JsonEscape(GitSha().c_str()) +
+           "\"},\n  \"rows\": [\n";
     for (size_t i = 0; i < g_json_rows.size(); ++i) {
       doc += g_json_rows[i];
       if (i + 1 < g_json_rows.size()) doc += ",";

@@ -137,7 +137,8 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 /// also captured for the JSON document Finish() writes:
 ///   {"schema_version": 1, "bench": "<argv0 basename>",
 ///    "env": {scale, queries, time_limit_ms, intra_threads, warmup,
-///            repeat, cache_budget, backend, bufferpool_budget},
+///            repeat, cache_budget, backend, bufferpool_budget, nproc,
+///            host, git_sha},
 ///    "rows": [{config, algo, queries, timed_out, mean_wall_us,
 ///              median_wall_us, p95_wall_us, phase_exclusive_us: {<phase>:
 ///              µs, ...}, counters: {tqsp_computations,
@@ -151,9 +152,12 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 ///                      prune_rate, build_s, alpha_bytes,
 ///                      alpha_postings}}]}
 /// The schema is stable: fields are only added, never renamed (cache_budget,
-/// the cache object, backend, the bufferpool object, the shard object, and
-/// its build_s, alpha_bytes and alpha_postings are additive;
-/// schema_version stays 1). The
+/// the cache object, backend, the bufferpool object, the shard object,
+/// its build_s, alpha_bytes and alpha_postings, and the env's nproc,
+/// host and git_sha are additive; schema_version stays 1). nproc is
+/// std::thread::hardware_concurrency(); git_sha is the HEAD of the
+/// source tree the bench was built from, "" when that tree is not a git
+/// checkout. The
 /// row-level backend/bufferpool annotation reflects the most recent
 /// MakeDatabase; the shard object appears only while
 /// SetShardRowAnnotation is active.

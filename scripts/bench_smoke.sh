@@ -34,6 +34,11 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema_version"] == 1, doc
 assert doc["rows"], "bench emitted no rows"
+# Run fingerprint: where and from which commit the rows were measured
+# (git_sha is "" outside a git checkout).
+for key in ("host", "nproc", "git_sha"):
+    assert key in doc["env"], f"env lacks {key}: {doc['env']}"
+assert doc["env"]["nproc"] >= 1, doc["env"]
 print(f"bench smoke OK: {doc['bench']}, {len(doc['rows'])} rows")
 EOF
 

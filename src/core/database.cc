@@ -491,6 +491,14 @@ Status KspDatabase::LoadIndexes(const std::string& directory,
         return fail(Status::InvalidArgument(
             "saved reachability index does not match the KB"));
       }
+      // Reaches is false for every term the file has no vertex for, so
+      // Rule 1 would prune every place that holds a term added since.
+      if (reach->num_terms() != kb_->num_terms()) {
+        return fail(Status::InvalidArgument(
+            "saved reachability index covers " +
+            std::to_string(reach->num_terms()) + " terms, the KB has " +
+            std::to_string(kb_->num_terms()) + ": " + path));
+      }
       reach_ = std::make_shared<const ReachabilityIndex>(std::move(*reach));
     } else if (e.name == "alpha") {
       auto alpha = AlphaIndex::Load(path, fs);

@@ -230,16 +230,16 @@ uint16_t QueryExecutor::BeginBfsEpoch() {
   return epoch_;
 }
 
+QueryExecutor::QueryContext::~QueryContext() {
+  if (keyword_masks == nullptr) return;
+  for (const std::span<const VertexId> list : postings) {
+    for (VertexId v : list) keyword_masks[v] = 0;
+  }
+}
+
 Status QueryExecutor::PrepareContext(const KspQuery& query,
-                                     QueryContext* ctx) const {
+                                     QueryContext* ctx) {
   ctx->query = &query;
-  ctx->terms.clear();
-  ctx->vertex_mask.Clear();
-  ctx->postings.clear();
-  ctx->owned_postings.clear();
-  ctx->rarest_first.clear();
-  ctx->answerable = true;
-  ctx->io = PageIoCounters();
 
   // Deduplicate keywords, preserving query order.
   for (TermId t : query.keywords) {
@@ -259,13 +259,11 @@ Status QueryExecutor::PrepareContext(const KspQuery& query,
   const size_t m = ctx->terms.size();
   ctx->full_mask = (m == 64) ? ~uint64_t{0} : ((uint64_t{1} << m) - 1);
 
-  // Load posting lists and build M_q.ψ (vertex -> covered-keyword mask).
-  // The memory accessor hands out zero-copy views; disk accessors decode
-  // into owned_postings (whose inner buffers stay put when the outer
-  // vector grows) through the shared buffer pool.
+  // Load posting lists. The memory accessor hands out zero-copy views;
+  // disk accessors decode into owned_postings (whose inner buffers stay
+  // put when the outer vector grows) through the shared buffer pool.
   const PostingsAccessor& postings = db_->postings_accessor();
   ctx->postings.resize(m);
-  size_t total_entries = 0;
   for (size_t i = 0; i < m; ++i) {
     ctx->owned_postings.emplace_back();
     std::span<const VertexId> view;
@@ -274,18 +272,40 @@ Status QueryExecutor::PrepareContext(const KspQuery& query,
                                      &ctx->io));
     ctx->postings[i] = view;
     if (ctx->postings[i].empty()) ctx->answerable = false;
-    total_entries += ctx->postings[i].size();
   }
-  // Pre-size for the posting-entry total (an upper bound on distinct
-  // vertices), so the fill below never rehashes. Vertex ids are the
-  // dense universe, so the table also builds its presence filter and
-  // the BFS answers the common no-keyword pop with one bit test.
-  ctx->vertex_mask.Reset(total_entries, db_->kb().num_vertices());
+
+  // Every id indexes the vertex arrays. A disk decode wraps mod 2^32 and
+  // an external InvertedIndex can return anything, so each list's
+  // maximum is checked (lists need not be sorted), all before the first
+  // bit is set: an error leaves nothing to clear.
+  const VertexId num_vertices = db_->kb().num_vertices();
   for (size_t i = 0; i < m; ++i) {
-    for (VertexId v : ctx->postings[i]) {
-      ctx->vertex_mask.OrInsert(v, uint64_t{1} << i);
+    VertexId max_id = 0;
+    for (VertexId v : ctx->postings[i]) max_id = std::max(max_id, v);
+    if (!ctx->postings[i].empty() && max_id >= num_vertices) {
+      const TermId t = ctx->terms[i];
+      const Vocabulary& vocabulary = db_->kb().vocabulary();
+      return Status::Corruption(
+          "postings of term " +
+          (t < vocabulary.size() ? "\"" + vocabulary.Term(t) + "\" "
+                                 : std::string()) +
+          "(id " + std::to_string(t) + ") hold vertex " +
+          std::to_string(max_id) + ", but the KB has " +
+          std::to_string(num_vertices) + " vertices");
     }
   }
+
+  // Build M_q.ψ: OR keyword i's bit into the mask of every vertex on its
+  // list. ~QueryContext zeroes the same entries.
+  if (keyword_masks_.size() < num_vertices) {
+    keyword_masks_.resize(num_vertices);
+  }
+  uint64_t* const masks = keyword_masks_.data();
+  for (size_t i = 0; i < m; ++i) {
+    const uint64_t bit = uint64_t{1} << i;
+    for (VertexId v : ctx->postings[i]) masks[v] |= bit;
+  }
+  ctx->keyword_masks = masks;
 
   ctx->rarest_first.resize(m);
   for (size_t i = 0; i < m; ++i) ctx->rarest_first[i] = i;

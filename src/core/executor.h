@@ -19,7 +19,6 @@
 #include "core/semantic_place.h"
 #include "core/stats.h"
 #include "core/trace.h"
-#include "core/vertex_mask_table.h"
 
 namespace ksp {
 
@@ -226,15 +225,24 @@ class QueryExecutor {
 
   /// Per-query derived state: deduplicated keywords, their posting lists,
   /// and the vertex -> keyword-bitmask map M_q.ψ of §3.
+  ///
+  /// M_q.ψ is the owning executor's `keyword_masks_` (DESIGN.md §13),
+  /// which is all zero between queries: PrepareContext ORs in the bits
+  /// of the posting entries, and the destructor zeroes exactly those
+  /// entries again, so every exit of a query leaves the array clean.
+  /// Invariant: an executor holds at most one prepared context at a
+  /// time. A second one would OR into the same array, and whichever
+  /// died first would clear the other's bits.
   struct QueryContext {
+    QueryContext() = default;
+    QueryContext(const QueryContext&) = delete;
+    QueryContext& operator=(const QueryContext&) = delete;
+    ~QueryContext();
+
     const KspQuery* query = nullptr;
     std::vector<TermId> terms;  // deduplicated, query order
     uint64_t full_mask = 0;
     bool answerable = true;
-    /// M_q.ψ as a flat open-addressed table (DESIGN.md §13): read-only
-    /// after PrepareContext, so pipeline workers share it like every
-    /// other QueryContext field.
-    VertexMaskTable vertex_mask;
     /// Posting-list views aligned with `terms`: zero-copy spans into the
     /// inverted index when it is memory-resident, else views into
     /// `owned_postings` (the disk index's per-query copies).
@@ -243,11 +251,19 @@ class QueryExecutor {
     std::vector<uint32_t> rarest_first;  // keyword idxs by posting length
     /// Page I/O of the posting fetches (disk backend; zero on memory).
     PageIoCounters io;
+    /// The executor's keyword masks once PrepareContext has set this
+    /// query's bits; nullptr until then, and so nothing to clear. Only
+    /// read after PrepareContext, so pipeline workers share it like
+    /// every other QueryContext field.
+    uint64_t* keyword_masks = nullptr;
 
-    uint64_t MaskOf(VertexId v) const { return vertex_mask.Find(v); }
+    uint64_t MaskOf(VertexId v) const { return keyword_masks[v]; }
   };
 
-  Status PrepareContext(const KspQuery& query, QueryContext* ctx) const;
+  /// Fetches the posting lists, checks every id against the KB (an
+  /// out-of-range id is Corruption, before any bit is set) and ORs the
+  /// keyword bits into keyword_masks_.
+  Status PrepareContext(const KspQuery& query, QueryContext* ctx);
 
   /// The prepared-before-query contract: every Execute* calls this first.
   Status CheckPrepared() const;
@@ -446,6 +462,14 @@ class QueryExecutor {
   /// touches these.
   std::vector<uint64_t> frontier_;
   std::vector<uint64_t> next_frontier_;
+
+  /// M_q.ψ of the prepared query (DESIGN.md §13): bit i of
+  /// keyword_masks_[v] is set iff v's document holds the query's i-th
+  /// distinct keyword, so the BFS reads a vertex's mask with one load.
+  /// All zero between queries (see QueryContext). Sized to the vertex
+  /// count on the first PrepareContext, so pipeline workers, which never
+  /// prepare a context, allocate none.
+  std::vector<uint64_t> keyword_masks_;
 
   /// TQSP per-candidate tree scratch (match records, path reversal).
   /// Reset at each ComputeTqsp entry — allocations never outlive the

@@ -374,14 +374,10 @@ Result<KspResult> QueryExecutor::ExecuteTa(const KspQuery& query,
   QueryStats local_stats;
   QueryStats* st = stats != nullptr ? stats : &local_stats;
   *st = QueryStats();
-  {
-    QueryContext probe;
-    KSP_RETURN_NOT_OK(PrepareContext(query, &probe));
-    if (probe.terms.empty() && probe.answerable) {
-      // No keywords: TA's looseness stream is degenerate; fall back to
-      // the spatial-first algorithm (every place qualifies with L = 1).
-      return ExecuteSpatialFirst(query, st, false, false);
-    }
+  if (query.keywords.empty()) {
+    // No keywords: TA's looseness stream is degenerate; fall back to
+    // the spatial-first algorithm (every place qualifies with L = 1).
+    return ExecuteSpatialFirst(query, st, false, false);
   }
   QueryTrace* trace = BeginQuery();
   graph_cursor_.ResetIo();

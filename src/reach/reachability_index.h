@@ -58,6 +58,8 @@ class ReachabilityIndex {
   uint64_t MemoryUsageBytes() const;
 
   uint32_t num_base_vertices() const { return num_base_vertices_; }
+  /// Terms the index was built over; Reaches is false at or past it.
+  TermId num_terms() const { return num_terms_; }
 
  private:
   ReachabilityIndex() = default;

@@ -1,17 +1,13 @@
 // Property tier: the u64-bitset keyword-cover machinery (DESIGN.md §13)
-// against straightforward set-based references. Three layers:
+// against straightforward set-based references. Two layers:
 //
-//  1. VertexMaskTable (flat open-addressed VertexId -> mask) vs a
-//     std::map<VertexId, std::set<uint32_t>> under random
-//     OrInsert/Find/Reset sequences, including absent keys, duplicate
-//     inserts, and growth from an empty table.
-//  2. End-to-end TQSP merge/qualification on random knowledge bases:
-//     the executor's bitset cover tracking vs a reference BFS that
-//     tracks covered keywords as an ordered set — looseness, match
-//     (term, vertex, distance) triples, path well-formedness, and the
-//     unqualified (+inf) verdict must agree, up to and including the
-//     64-keyword boundary.
-//  3. The contract edges: exactly 64 distinct keywords work (full_mask
+//  1. End-to-end TQSP merge/qualification on random knowledge bases:
+//     the executor's bitset cover tracking over its per-vertex keyword
+//     masks (M_q.ψ) vs a reference BFS that tracks covered keywords as
+//     an ordered set — looseness, match (term, vertex, distance)
+//     triples, path well-formedness, and the unqualified (+inf) verdict
+//     must agree, up to and including the 64-keyword boundary.
+//  2. The contract edges: exactly 64 distinct keywords work (full_mask
 //     = ~0), duplicates dedup before the limit, and >64 distinct
 //     keywords fail with InvalidArgument.
 
@@ -21,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -31,7 +26,6 @@
 
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/vertex_mask_table.h"
 #include "rdf/knowledge_base.h"
 
 namespace ksp {
@@ -40,109 +34,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------
-// Layer 1: VertexMaskTable vs a set-based reference map.
-// ---------------------------------------------------------------------
-
-TEST(VertexMaskTableProperty, MatchesSetBasedReferenceOnRandomSequences) {
-  std::mt19937_64 rng(0xB175E75);  // "bitsets"
-  for (int trial = 0; trial < 20; ++trial) {
-    VertexMaskTable table;
-    // Reference: per-vertex set of keyword indices, the representation
-    // the bitset replaced.
-    std::map<VertexId, std::set<uint32_t>> reference;
-
-    // Trials rotate through the three construction modes: pre-sized
-    // with a known key universe (the PrepareContext path, which also
-    // builds the presence bitmap), pre-sized without one, and grown
-    // from empty (exercises Grow + rehash).
-    const int mode = trial % 3;
-    const size_t num_ops = 500 + static_cast<size_t>(rng() % 2000);
-    if (mode == 0) {
-      table.Reset(num_ops, /*universe=*/2'000'000);
-    } else if (mode == 1) {
-      table.Reset(num_ops);
-    }
-
-    // Keys drawn from a small dense range (forces collisions and
-    // duplicate OrInserts) plus occasional sparse outliers.
-    const VertexId dense_span = 1 + static_cast<VertexId>(rng() % 300);
-    auto draw_key = [&]() -> VertexId {
-      if (rng() % 8 == 0) {
-        return static_cast<VertexId>(rng() % 1'000'000);
-      }
-      return static_cast<VertexId>(rng() % dense_span);
-    };
-
-    for (size_t op = 0; op < num_ops; ++op) {
-      const VertexId v = draw_key();
-      const uint32_t bit = static_cast<uint32_t>(rng() % 64);
-      table.OrInsert(v, uint64_t{1} << bit);
-      reference[v].insert(bit);
-
-      // Interleave reads of a random (often absent) key.
-      const VertexId probe = draw_key();
-      uint64_t want = 0;
-      auto it = reference.find(probe);
-      if (it != reference.end()) {
-        for (uint32_t b : it->second) want |= uint64_t{1} << b;
-      }
-      ASSERT_EQ(table.Find(probe), want)
-          << "trial " << trial << " op " << op << " key " << probe;
-    }
-
-    // Full sweep: every inserted key reads back its exact mask, the
-    // sizes agree, and keys never touched read back 0.
-    ASSERT_EQ(table.size(), reference.size()) << "trial " << trial;
-    for (const auto& [v, bits] : reference) {
-      uint64_t want = 0;
-      for (uint32_t b : bits) want |= uint64_t{1} << b;
-      ASSERT_EQ(table.Find(v), want) << "trial " << trial << " key " << v;
-    }
-    for (int probe = 0; probe < 100; ++probe) {
-      const VertexId v = static_cast<VertexId>(rng() % 2'000'000);
-      if (reference.count(v) == 0) {
-        ASSERT_EQ(table.Find(v), 0u) << "trial " << trial << " key " << v;
-      }
-    }
-
-    // Clear drops everything.
-    table.Clear();
-    EXPECT_EQ(table.size(), 0u);
-    for (const auto& [v, bits] : reference) {
-      ASSERT_EQ(table.Find(v), 0u);
-    }
-  }
-}
-
-TEST(VertexMaskTableProperty, ResetDiscardsPriorEpochEntries) {
-  VertexMaskTable table;
-  table.Reset(8);
-  table.OrInsert(7, 0x5);
-  ASSERT_EQ(table.Find(7), 0x5u);
-  table.Reset(8);  // New query epoch: prior masks must not leak.
-  EXPECT_EQ(table.Find(7), 0u);
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(VertexMaskTableProperty, ResetClearsThePresenceBitmapToo) {
-  VertexMaskTable table;
-  table.Reset(8, /*universe=*/1024);
-  table.OrInsert(7, 0x5);
-  table.OrInsert(1023, 0x2);
-  ASSERT_EQ(table.Find(7), 0x5u);
-  ASSERT_EQ(table.Find(1023), 0x2u);
-  // A fresh universe-sized Reset must drop the bits, and a universe-less
-  // Reset must drop the bitmap entirely rather than serve stale bits.
-  table.Reset(8, /*universe=*/1024);
-  EXPECT_EQ(table.Find(7), 0u);
-  EXPECT_EQ(table.Find(1023), 0u);
-  table.OrInsert(7, 0x1);
-  table.Reset(8);
-  EXPECT_EQ(table.Find(7), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Layer 2: end-to-end TQSP cover merging on random knowledge bases.
+// Layer 1: end-to-end TQSP cover merging on random knowledge bases.
 // ---------------------------------------------------------------------
 
 /// Pure-alpha keyword names so tokenization is the identity.
@@ -348,7 +240,7 @@ TEST(BitsetCoverProperty, RandomTreesMatchSetBasedReferenceUpTo64Keywords) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 3: the 64-keyword contract edges.
+// Layer 2: the 64-keyword contract edges.
 // ---------------------------------------------------------------------
 
 /// Chain KB v0 -> v1 -> ... -> v{n-1}, place at v0, keyword t planted

@@ -2,12 +2,14 @@
 // contract under test: a tripped CancellationToken makes Execute* return
 // kCancelled / kDeadlineExceeded with stats.completed == false and NO
 // result — never a partial top-k presented as complete — and leaves the
-// executor scratch so clean that re-running the same query is
-// byte-identical to a never-cancelled run, on both storage backends,
-// with no leaked buffer-pool pins and no poisoned semantic-cache entry.
+// executor scratch so clean that a query on other keywords, and then
+// a re-run of the same query, are byte-identical to never-cancelled
+// runs, on both storage backends, with no leaked buffer-pool pins, no
+// keyword bit left set and no poisoned semantic-cache entry.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -54,6 +56,22 @@ std::vector<KspQuery> MakeQueries(const KnowledgeBase& kb, size_t count) {
   return GenerateQueries(kb, QueryClass::kOriginal, qopt, count);
 }
 
+/// The first of `queries` after queries[0] that shares no keyword with
+/// it. Run right after a cancelled queries[0], it would read any
+/// keyword bit the cancelled run left set as one of its own.
+KspQuery DisjointFromFirst(const std::vector<KspQuery>& queries) {
+  const std::vector<TermId>& first = queries.front().keywords;
+  for (size_t i = 1; i < queries.size(); ++i) {
+    const bool shared =
+        std::ranges::any_of(queries[i].keywords, [&](TermId t) {
+          return std::ranges::find(first, t) != first.end();
+        });
+    if (!shared) return queries[i];
+  }
+  ADD_FAILURE() << "no query disjoint from the first";
+  return queries.front();
+}
+
 void ExpectSameResult(const KspResult& got, const KspResult& want,
                       const std::string& context) {
   ASSERT_EQ(got.entries.size(), want.entries.size()) << context;
@@ -65,15 +83,29 @@ void ExpectSameResult(const KspResult& got, const KspResult& want,
               want.entries[i].spatial_distance)
         << context;
     EXPECT_EQ(got.entries[i].score, want.entries[i].score) << context;
+    // The materialized TQSP too: keyword-only ranks by the looseness
+    // stream, so only its trees read the keyword masks.
+    const SemanticPlaceTree& got_tree = got.entries[i].tree;
+    const SemanticPlaceTree& want_tree = want.entries[i].tree;
+    EXPECT_EQ(got_tree.looseness, want_tree.looseness) << context;
+    ASSERT_EQ(got_tree.matches.size(), want_tree.matches.size()) << context;
+    for (size_t m = 0; m < want_tree.matches.size(); ++m) {
+      EXPECT_EQ(got_tree.matches[m].vertex, want_tree.matches[m].vertex)
+          << context;
+      EXPECT_EQ(got_tree.matches[m].distance, want_tree.matches[m].distance)
+          << context;
+    }
   }
 }
 
 /// Cancels a query at every feasible check index until cancellation stops
-/// biting, re-running after each cancellation and comparing against the
-/// uncancelled reference. Exercises every phase a check can land in:
-/// early checks hit the first BFS, later ones the pipeline commit or the
-/// final candidates.
+/// biting. After each cancellation it runs `other` (which shares no
+/// keyword with `query`) and then `query` again, comparing both against
+/// their uncancelled references. Exercises every phase a check can land
+/// in: early checks hit the first BFS, later ones the pipeline commit or
+/// the final candidates.
 void RunCancellationSweep(KspDatabase* db, const KspQuery& query,
+                          const KspQuery& other,
                           const NamedAlgorithm& algorithm,
                           uint32_t intra_threads) {
   QueryExecutor executor(db);
@@ -81,6 +113,9 @@ void RunCancellationSweep(KspDatabase* db, const KspQuery& query,
 
   auto reference = (executor.*algorithm.fn)(query, nullptr);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto other_reference = (executor.*algorithm.fn)(other, nullptr);
+  ASSERT_TRUE(other_reference.ok()) << other_reference.status().ToString();
+  ASSERT_FALSE(other_reference->entries.empty()) << algorithm.name;
 
   CancellationToken token;
   executor.set_cancellation(&token);
@@ -111,8 +146,18 @@ void RunCancellationSweep(KspDatabase* db, const KspQuery& query,
     EXPECT_TRUE(cancelled.status().IsCancelled()) << context << ": "
         << cancelled.status().ToString();
     EXPECT_FALSE(stats.completed) << context;
-    // Exactness: the very next run must be byte-identical to a run that
-    // never saw a cancellation (no poisoned scratch, no stale cache).
+    // No keyword bit outlives its query: the next query, on other
+    // keywords, answers as if the cancelled one never ran. It runs
+    // every BFS (the cache holds no entry for its keywords) and evicts
+    // nothing the cancelled run cached for the rerun below to catch.
+    QueryStats other_stats;
+    auto other_run = (executor.*algorithm.fn)(other, &other_stats);
+    ASSERT_TRUE(other_run.ok())
+        << context << ": " << other_run.status().ToString();
+    ExpectSameResult(*other_run, *other_reference, context + " (other)");
+    EXPECT_EQ(other_stats.cache_evictions, 0u) << context;
+    // Exactness: a re-run must be byte-identical to a run that never
+    // saw a cancellation (no poisoned scratch, no stale cache).
     QueryStats rerun_stats;
     auto rerun = (executor.*algorithm.fn)(query, &rerun_stats);
     ASSERT_TRUE(rerun.ok()) << context << ": " << rerun.status().ToString();
@@ -170,11 +215,13 @@ TEST(CancellationTest, RerunAfterCancelIsExactOnMemoryBackend) {
   options.cache_budget_bytes = 256 * 1024;  // Cache on: catches poisoning.
   KspDatabase db(kb.get(), options);
   db.PrepareAll(3);
-  const auto queries = MakeQueries(*kb, 2);
-  ASSERT_GE(queries.size(), 1u);
+  const auto queries = MakeQueries(*kb, 8);
+  ASSERT_GE(queries.size(), 2u);
+  const KspQuery other = DisjointFromFirst(queries);
 
   for (const NamedAlgorithm& algorithm : kAlgorithms) {
-    RunCancellationSweep(&db, queries[0], algorithm, /*intra_threads=*/1);
+    RunCancellationSweep(&db, queries[0], other, algorithm,
+                         /*intra_threads=*/1);
   }
 }
 
@@ -184,8 +231,9 @@ TEST(CancellationTest, RerunAfterCancelIsExactInParallelPipeline) {
   options.cache_budget_bytes = 256 * 1024;
   KspDatabase db(kb.get(), options);
   db.PrepareAll(3);
-  const auto queries = MakeQueries(*kb, 2);
-  ASSERT_GE(queries.size(), 1u);
+  const auto queries = MakeQueries(*kb, 8);
+  ASSERT_GE(queries.size(), 2u);
+  const KspQuery other = DisjointFromFirst(queries);
 
   // Pipeline algorithms only (TA/KW never enter the pipeline).
   constexpr NamedAlgorithm kPipelined[] = {
@@ -194,7 +242,8 @@ TEST(CancellationTest, RerunAfterCancelIsExactInParallelPipeline) {
       {"SP", &QueryExecutor::ExecuteSp},
   };
   for (const NamedAlgorithm& algorithm : kPipelined) {
-    RunCancellationSweep(&db, queries[0], algorithm, /*intra_threads=*/3);
+    RunCancellationSweep(&db, queries[0], other, algorithm,
+                         /*intra_threads=*/3);
   }
 }
 
@@ -209,11 +258,13 @@ TEST(CancellationTest, RerunAfterCancelIsExactOnDiskBackendAndPinsDrop) {
   ASSERT_TRUE(db.storage_backend_status().ok())
       << db.storage_backend_status().ToString();
   ASSERT_NE(db.buffer_pool(), nullptr);
-  const auto queries = MakeQueries(*kb, 2);
-  ASSERT_GE(queries.size(), 1u);
+  const auto queries = MakeQueries(*kb, 8);
+  ASSERT_GE(queries.size(), 2u);
+  const KspQuery other = DisjointFromFirst(queries);
 
   for (const NamedAlgorithm& algorithm : kAlgorithms) {
-    RunCancellationSweep(&db, queries[0], algorithm, /*intra_threads=*/1);
+    RunCancellationSweep(&db, queries[0], other, algorithm,
+                         /*intra_threads=*/1);
     // A cancelled BFS must not leak page pins: a pinned frame would be
     // unevictable forever and eventually wedge the pool.
     EXPECT_EQ(db.buffer_pool()->GetStats().pinned_pages, 0u)

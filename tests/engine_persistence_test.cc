@@ -17,6 +17,26 @@
 namespace ksp {
 namespace {
 
+/// Abbey (a place) -> Town, plus `quays` vertices whose documents hold
+/// "abbey" too; `harbour` adds a document term to Town. Variants share
+/// the first vertices and their terms, so a term has the same id in
+/// each.
+Result<std::unique_ptr<KnowledgeBase>> AbbeyKb(bool harbour,
+                                               uint32_t quays = 0) {
+  KnowledgeBaseBuilder builder;
+  const VertexId abbey = builder.AddEntity("http://example.org/Abbey");
+  const VertexId town = builder.AddEntity("http://example.org/Town");
+  builder.SetLocation(abbey, Point{4.6, 43.7});
+  builder.AddRelation(abbey, town, "http://example.org/nearTo");
+  if (harbour) builder.AddDocumentTerm(town, "harbour");
+  for (uint32_t i = 0; i < quays; ++i) {
+    builder.AddDocumentTerm(
+        builder.AddEntity("http://example.org/quay/" + std::to_string(i)),
+        "abbey");
+  }
+  return builder.Finish();
+}
+
 class EnginePersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -224,17 +244,8 @@ TEST_F(EnginePersistenceTest, AlphaWithoutItsRTreeRejected) {
 TEST_F(EnginePersistenceTest, AlphaOverAnotherVocabularyRejected) {
   // Two KBs with the same vertices and place; the second has one more
   // document term.
-  auto build_kb = [](bool extra_term) {
-    KnowledgeBaseBuilder builder;
-    const VertexId abbey = builder.AddEntity("http://example.org/Abbey");
-    const VertexId town = builder.AddEntity("http://example.org/Town");
-    builder.SetLocation(abbey, Point{4.6, 43.7});
-    builder.AddRelation(abbey, town, "http://example.org/nearTo");
-    if (extra_term) builder.AddDocumentTerm(town, "harbour");
-    return builder.Finish();
-  };
-  auto saved_kb = build_kb(false);
-  auto grown_kb = build_kb(true);
+  auto saved_kb = AbbeyKb(/*harbour=*/false);
+  auto grown_kb = AbbeyKb(/*harbour=*/true);
   ASSERT_TRUE(saved_kb.ok() && grown_kb.ok());
   ASSERT_EQ((*saved_kb)->num_vertices(), (*grown_kb)->num_vertices());
   ASSERT_EQ((*saved_kb)->num_terms() + 1, (*grown_kb)->num_terms());
@@ -250,6 +261,102 @@ TEST_F(EnginePersistenceTest, AlphaOverAnotherVocabularyRejected) {
       << status.ToString();
   EXPECT_EQ(restored.alpha_index(), nullptr);
   EXPECT_FALSE(restored.has_rtree());
+}
+
+// The reachability labels hold a vertex for every term of the
+// vocabulary they were built over, and Reaches is false past it. Loaded
+// beside a KB that has since gained a term, Rule 1 would prune every
+// place that holds it: refused, like the α file.
+TEST_F(EnginePersistenceTest, ReachabilityOverAnotherVocabularyRejected) {
+  auto saved_kb = AbbeyKb(/*harbour=*/false);
+  auto grown_kb = AbbeyKb(/*harbour=*/true);
+  ASSERT_TRUE(saved_kb.ok() && grown_kb.ok());
+  ASSERT_EQ((*saved_kb)->num_vertices(), (*grown_kb)->num_vertices());
+  ASSERT_EQ((*saved_kb)->num_terms() + 1, (*grown_kb)->num_terms());
+
+  KspDatabase original(saved_kb->get());
+  original.BuildRTree();
+  original.BuildReachabilityIndex();
+  ASSERT_TRUE(original.SaveIndexes(dir_).ok());
+  KspDatabase restored(grown_kb->get());
+  auto status = restored.LoadIndexes(dir_);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  const std::string counts =
+      "covers " + std::to_string((*saved_kb)->num_terms()) +
+      " terms, the KB has " + std::to_string((*grown_kb)->num_terms());
+  EXPECT_NE(status.message().find(counts), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find(dir_), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(restored.reachability_index(), nullptr);
+  EXPECT_FALSE(restored.has_rtree());
+}
+
+// Posting ids index the executor's per-vertex arrays. A CRC-valid
+// postings file written for a larger KB and passed in as the inverted
+// index lists vertices this KB does not have: every algorithm answers
+// Corruption before it sets a keyword bit, and the executor stays exact.
+TEST_F(EnginePersistenceTest, PostingsFromAnotherKbAreCorruption) {
+  auto small_kb = AbbeyKb(/*harbour=*/false);
+  auto large_kb = AbbeyKb(/*harbour=*/false, /*quays=*/200);
+  ASSERT_TRUE(small_kb.ok() && large_kb.ok());
+  ASSERT_EQ((*small_kb)->num_vertices(), 2u);
+  ASSERT_EQ((*large_kb)->num_vertices(), 202u);
+  const std::string path = dir_ + "/postings.bin";
+  ASSERT_TRUE(
+      DiskInvertedIndex::Write((*large_kb)->inverted_index(), path).ok());
+  auto postings = DiskInvertedIndex::Open(path);
+  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
+
+  KspOptions options;
+  options.inverted_index = postings->get();
+  KspDatabase db(small_kb->get(), options);
+  db.PrepareAll(2);
+  const Point here{4.6, 43.7};
+  // "abbey" lists Abbey and the 200 quays; "town" lists Town alone.
+  const KspQuery overflowing = db.MakeQuery(here, {"abbey"}, 1);
+  const KspQuery in_range = db.MakeQuery(here, {"town"}, 1);
+  std::vector<VertexId> list;
+  ASSERT_TRUE((*postings)->GetPostings(overflowing.keywords[0], &list).ok());
+  ASSERT_EQ(list.size(), 201u);
+  list.clear();
+  ASSERT_TRUE((*postings)->GetPostings(in_range.keywords[0], &list).ok());
+  ASSERT_EQ(list, std::vector<VertexId>{1});
+
+  using ExecuteFn = Result<KspResult> (QueryExecutor::*)(const KspQuery&,
+                                                         QueryStats*);
+  const std::pair<const char*, ExecuteFn> algorithms[] = {
+      {"BSP", &QueryExecutor::ExecuteBsp},
+      {"SPP", &QueryExecutor::ExecuteSpp},
+      {"SP", &QueryExecutor::ExecuteSp},
+      {"TA", &QueryExecutor::ExecuteTa},
+      {"KW", &QueryExecutor::ExecuteKeywordOnly},
+  };
+  QueryExecutor executor(&db);
+  for (const auto& [name, fn] : algorithms) {
+    auto result = (executor.*fn)(overflowing, nullptr);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_TRUE(result.status().IsCorruption())
+        << name << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("\"abbey\""),
+              std::string::npos)
+        << name << ": " << result.status().ToString();
+  }
+  // Had a bit of "abbey" survived at Abbey, "town" would read as
+  // covered at distance 0 there (looseness 1, not 2); TA and keyword-only
+  // rank by their own BFS and show it only in the materialized tree.
+  for (const auto& [name, fn] : algorithms) {
+    QueryExecutor fresh(&db);
+    auto want = (fresh.*fn)(in_range, nullptr);
+    auto got = (executor.*fn)(in_range, nullptr);
+    ASSERT_TRUE(want.ok() && got.ok()) << name;
+    ASSERT_EQ(got->entries.size(), 1u) << name;
+    ASSERT_EQ(want->entries.size(), 1u) << name;
+    EXPECT_EQ(got->entries[0].place, want->entries[0].place) << name;
+    EXPECT_EQ(got->entries[0].looseness, 2.0) << name;
+    EXPECT_EQ(got->entries[0].tree.looseness, 2.0) << name;
+    EXPECT_EQ(got->entries[0].score, want->entries[0].score) << name;
+  }
 }
 
 TEST_F(EnginePersistenceTest, MismatchedKbRejected) {

@@ -83,6 +83,23 @@ TEST(ExecutorContractTest, TooManyDistinctKeywordsRejected) {
   auto tied = executor.ComputeTqspAlternatives(0, query);
   ASSERT_FALSE(tied.ok());
   EXPECT_TRUE(tied.status().IsInvalidArgument());
+
+  // The rejections left no keyword bit behind: a valid query on the
+  // same executor answers as a fresh executor does.
+  const KspQuery valid = db.MakeQuery(kQ1, Figure1QueryKeywords(), 2);
+  for (ExecuteFn fn : kAllAlgorithms) {
+    QueryExecutor fresh(&db);
+    auto want = (fresh.*fn)(valid, nullptr);
+    auto got = (executor.*fn)(valid, nullptr);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_FALSE(want->entries.empty());
+    ASSERT_EQ(got->entries.size(), want->entries.size());
+    for (size_t i = 0; i < want->entries.size(); ++i) {
+      EXPECT_EQ(got->entries[i].place, want->entries[i].place);
+      EXPECT_EQ(got->entries[i].looseness, want->entries[i].looseness);
+      EXPECT_EQ(got->entries[i].score, want->entries[i].score);
+    }
+  }
 }
 
 TEST(ExecutorContractTest, SharedDatabaseExecutorsAnswerIdentically) {
