@@ -125,26 +125,3 @@ hot = sum(r["phase_exclusive_us"]["tqsp_compute"] +
 assert hot > 0, "micro-component run recorded no hot-phase time"
 print(f"micro-component smoke OK: {len(rows)} rows, tqsp+bfs {hot:.0f} us")
 EOF
-
-# Serving-tier smoke (DESIGN.md §11): start a real server on loopback,
-# drive it with the closed- and open-loop load generator, and require
-# nonzero sustained QPS with zero protocol errors in both loops.
-SERVE_OUT="$(mktemp /tmp/ksp_bench_serving_smoke.XXXXXX.json)"
-trap 'rm -f "${DISK_OUT}" "${SHARD_OUT}" "${SERVE_OUT}"' EXIT
-KSP_SCALE="${KSP_SCALE:-0.1}" \
-  "${BUILD_DIR}/bench/bench_serving_load" \
-  --clients=4 --seconds=1 --rate=100 \
-  --json-out="${SERVE_OUT}"
-
-python3 - "${SERVE_OUT}" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["bench"] == "bench_serving_load", doc
-for name in ("closed_loop", "open_loop"):
-    loop = doc["serving"][name]
-    assert loop["protocol_errors"] == 0, (name, loop)
-    assert loop["qps"] > 0, (name, loop)
-closed = doc["serving"]["closed_loop"]
-print(f"serving smoke OK: closed-loop {closed['qps']:.0f} QPS, "
-      f"p99 {closed['p99_ms']:.2f} ms, 0 protocol errors")
-EOF

@@ -65,8 +65,6 @@ Status ChecksummedWriter::WriteSectionParts(
   return RawAppend(frame);
 }
 
-Status ChecksummedWriter::Finish() { return file_->Sync(); }
-
 Status ChecksummedReader::ReadFrameHeader(uint64_t* payload_size) {
   const uint64_t file_size = file_->Size();
   if (offset_ > file_size || file_size - offset_ < 8) {
@@ -214,18 +212,14 @@ Status ChecksummedReader::ExpectEnd() const {
   return Status::OK();
 }
 
-Status WriteArtifactAtomically(
-    FileSystem* fs, const std::string& path, uint32_t artifact_magic,
-    uint32_t artifact_version,
-    const std::function<Status(ChecksummedWriter*)>& body,
-    ArtifactInfo* info) {
+Status WriteFileAtomically(
+    FileSystem* fs, const std::string& path,
+    const std::function<Status(WritableFile*)>& body) {
   const std::string tmp = path + ".tmp";
   auto file = fs->NewWritableFile(tmp);
   if (!file.ok()) return file.status();
-  ChecksummedWriter writer(file->get());
-  Status st = writer.Start(artifact_magic, artifact_version);
-  if (st.ok()) st = body(&writer);
-  if (st.ok()) st = writer.Finish();
+  Status st = body(file->get());
+  if (st.ok()) st = (*file)->Sync();
   Status close_st = (*file)->Close();
   if (st.ok()) st = close_st;
   if (st.ok()) st = fs->RenameFile(tmp, path);
@@ -233,12 +227,25 @@ Status WriteArtifactAtomically(
     fs->RemoveFile(tmp);  // Best effort; `path` is untouched either way.
     return st;
   }
-  KSP_RETURN_NOT_OK(fs->SyncDir(DirName(path)));
-  if (info != nullptr) {
-    info->size_bytes = writer.bytes_written();
-    info->crc32c = writer.file_crc();
-    info->format_version = artifact_version;
-  }
+  return fs->SyncDir(DirName(path));
+}
+
+Status WriteArtifactAtomically(
+    FileSystem* fs, const std::string& path, uint32_t artifact_magic,
+    uint32_t artifact_version,
+    const std::function<Status(ChecksummedWriter*)>& body,
+    ArtifactInfo* info) {
+  ArtifactInfo written;
+  KSP_RETURN_NOT_OK(WriteFileAtomically(fs, path, [&](WritableFile* file) {
+    ChecksummedWriter writer(file);
+    KSP_RETURN_NOT_OK(writer.Start(artifact_magic, artifact_version));
+    KSP_RETURN_NOT_OK(body(&writer));
+    written.size_bytes = writer.bytes_written();
+    written.crc32c = writer.file_crc();
+    written.format_version = artifact_version;
+    return Status::OK();
+  }));
+  if (info != nullptr) *info = written;
   return Status::OK();
 }
 

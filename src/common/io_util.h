@@ -89,9 +89,8 @@ Status ParsePodVector(std::string_view src, size_t* pos, std::vector<T>* v) {
 constexpr uint32_t kChecksummedFileMagic = 0x4B535043u;
 
 /// Writes one checksummed container to a WritableFile: Start() frames the
-/// header, WriteSection() frames each payload, Finish() syncs. Tracks the
-/// running whole-file CRC32C and byte count for the saver's MANIFEST
-/// entry.
+/// header, WriteSection() frames each payload. Tracks the running
+/// whole-file CRC32C and byte count for the saver's MANIFEST entry.
 class ChecksummedWriter {
  public:
   explicit ChecksummedWriter(WritableFile* file) : file_(file) {}
@@ -111,9 +110,6 @@ class ChecksummedWriter {
          std::string_view(reinterpret_cast<const char*>(v.data()),
                           v.size() * sizeof(T))});
   }
-  /// Syncs to stable storage; call before closing/renaming.
-  Status Finish();
-
   uint64_t bytes_written() const { return offset_; }
   /// CRC32C of every byte written so far (the whole-file checksum the
   /// MANIFEST records).
@@ -199,10 +195,16 @@ struct ArtifactInfo {
   uint32_t format_version = 0;
 };
 
-/// Crash-safe artifact commit: writes `path + ".tmp"` via a
-/// ChecksummedWriter, fsyncs, atomically renames onto `path`, and fsyncs
-/// the directory. On any failure the temp file is removed (best effort)
-/// and `path` is untouched — a save interrupted at any point leaves the
+/// Crash-safe file commit: writes `path + ".tmp"` through `body`, syncs,
+/// atomically renames onto `path`, and fsyncs the directory. On any
+/// failure the temp file is removed (best effort) and `path` is
+/// untouched. A reader that opened `path` before the rename keeps
+/// reading the file it opened, never a truncated or half-written one.
+Status WriteFileAtomically(FileSystem* fs, const std::string& path,
+                           const std::function<Status(WritableFile*)>& body);
+
+/// WriteFileAtomically of one checksummed container: `body` writes the
+/// sections after the header. A save interrupted at any point leaves the
 /// previous generation intact.
 Status WriteArtifactAtomically(
     FileSystem* fs, const std::string& path, uint32_t artifact_magic,

@@ -134,12 +134,16 @@ bool LeafPayloadsAre(const RTree& rtree, uint32_t num_places,
 
 }  // namespace
 
-KspDatabase::KspDatabase(const KnowledgeBase* kb, KspOptions options)
+KspDatabase::KspDatabase(const KnowledgeBase* kb, KspOptions options,
+                         const KspDatabase* store,
+                         std::string rtree_spill_name)
     : kb_(kb),
-      options_(options),
-      inverted_(options.inverted_index != nullptr
-                    ? options.inverted_index
+      options_(std::move(options)),
+      inverted_(options_.inverted_index != nullptr
+                    ? options_.inverted_index
                     : &kb->inverted_index()),
+      store_(store),
+      rtree_spill_name_(std::move(rtree_spill_name)),
       mem_graph_(&kb->graph()),
       mem_postings_(inverted_) {
   KSP_CHECK(kb_ != nullptr);
@@ -155,7 +159,7 @@ KspDatabase::KspDatabase(const KnowledgeBase* kb, KspOptions options)
       options_.place_subset.pop_back();
     }
   }
-  if (options_.cache_budget_bytes != 0) {
+  if (store_ == nullptr && options_.cache_budget_bytes != 0) {
     cache_ =
         std::make_unique<SemanticQueryCache>(options_.cache_budget_bytes);
   }
@@ -166,15 +170,12 @@ KspDatabase::KspDatabase(const KnowledgeBase* kb, KspOptions options)
 }
 
 KspDatabase::~KspDatabase() {
-  std::string directory;
-  bool remove = false;
-  if (disk_ != nullptr) {
-    directory = disk_->directory;
-    remove = disk_->owns_directory;
-  }
   // Accessors drop their pool registrations before the pool dies.
+  paged_rtree_.reset();
+  if (disk_ == nullptr) return;
+  const std::string directory = disk_->owns_directory ? disk_->directory : "";
   disk_.reset();
-  if (remove && !directory.empty()) {
+  if (!directory.empty()) {
     std::error_code ec;
     std::filesystem::remove_all(directory, ec);
   }
@@ -194,6 +195,14 @@ void KspDatabase::RefreshDiskBackend() {
 }
 
 Status KspDatabase::BuildDiskBackendState() {
+  // Node ids are specific to one R-tree build: rewrite on every change.
+  paged_rtree_.reset();
+  if (store_ != nullptr) {
+    // A shard spills only its R-tree, into the store's directory.
+    DiskBackendState* disk = store_->disk_.get();
+    if (disk == nullptr) return store_->disk_status_;
+    return SpillRTree(disk);
+  }
   if (disk_ == nullptr) {
     auto state = std::make_unique<DiskBackendState>(options_);
     if (options_.spill_directory.empty()) {
@@ -238,39 +247,42 @@ Status KspDatabase::BuildDiskBackendState() {
     KSP_ASSIGN_OR_RETURN(disk_->postings,
                          DiskPostingsAccessor::Open(path, &disk_->pool));
   }
-  // Node ids are specific to one R-tree build: rewrite on every change.
-  disk_->rtree.reset();
-  if (rtree_ != nullptr) {
-    const std::string path = dir + "/rtree.bin";
-    KSP_RETURN_NOT_OK(PagedRTree::Write(*rtree_, path, page_size));
-    KSP_ASSIGN_OR_RETURN(disk_->rtree,
-                         PagedRTree::Open(path, &disk_->pool));
-  }
+  return SpillRTree(disk_.get());
+}
+
+Status KspDatabase::SpillRTree(DiskBackendState* disk) {
+  if (rtree_ == nullptr) return Status::OK();
+  const std::string path = disk->directory + "/" + rtree_spill_name_;
+  KSP_RETURN_NOT_OK(
+      PagedRTree::Write(*rtree_, path, options_.buffer_pool_page_size));
+  KSP_ASSIGN_OR_RETURN(paged_rtree_, PagedRTree::Open(path, &disk->pool));
   return Status::OK();
 }
 
 const GraphAccessor& KspDatabase::graph_accessor() const {
-  if (options_.backend == StorageBackend::kDisk && disk_status_.ok() &&
-      disk_ != nullptr && disk_->graph != nullptr) {
-    return *disk_->graph;
+  const KspDatabase& db = kb_wide();
+  if (options_.backend == StorageBackend::kDisk && db.disk_status_.ok() &&
+      db.disk_ != nullptr && db.disk_->graph != nullptr) {
+    return *db.disk_->graph;
   }
-  return mem_graph_;
+  return db.mem_graph_;
 }
 
 const SpatialAccessor* KspDatabase::spatial_accessor() const {
   if (options_.backend == StorageBackend::kDisk && disk_status_.ok() &&
-      disk_ != nullptr && disk_->rtree != nullptr) {
-    return disk_->rtree.get();
+      paged_rtree_ != nullptr) {
+    return paged_rtree_.get();
   }
   return mem_spatial_.get();
 }
 
 const PostingsAccessor& KspDatabase::postings_accessor() const {
-  if (options_.backend == StorageBackend::kDisk && disk_status_.ok() &&
-      disk_ != nullptr && disk_->postings != nullptr) {
-    return *disk_->postings;
+  const KspDatabase& db = kb_wide();
+  if (options_.backend == StorageBackend::kDisk && db.disk_status_.ok() &&
+      db.disk_ != nullptr && db.disk_->postings != nullptr) {
+    return *db.disk_->postings;
   }
-  return mem_postings_;
+  return db.mem_postings_;
 }
 
 void KspDatabase::BuildRTree() {
@@ -318,14 +330,6 @@ void KspDatabase::BuildReachabilityIndex() {
                                kb_->num_terms(),
                                options_.undirected_edges));
   prep_times_.reachability_s = timer.ElapsedSeconds();
-}
-
-void KspDatabase::AdoptReachabilityIndex(
-    std::shared_ptr<const ReachabilityIndex> reach) {
-  KSP_CHECK(reach == nullptr ||
-            reach->num_base_vertices() == kb_->num_vertices());
-  InvalidateCache();
-  reach_ = std::move(reach);
 }
 
 void KspDatabase::BuildAlphaIndex(uint32_t alpha) {

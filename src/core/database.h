@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alpha/alpha_index.h"
@@ -20,6 +21,8 @@
 #include "text/inverted_index.h"
 
 namespace ksp {
+
+class ShardedKspDatabase;
 
 /// Which physical representation the query algorithms read indexes
 /// from. Both run the exact same algorithm code through the accessor
@@ -72,6 +75,8 @@ struct KspOptions {
   /// by every executor of this database. 0 (the default) disables caching
   /// entirely — semantic_cache() is then nullptr and the query path is
   /// byte-identical to the pre-cache code; kCacheUnlimited never evicts.
+  /// A ShardedKspDatabase holds one cache for all of its shards, so the
+  /// budget bounds the whole sharded database.
   size_t cache_budget_bytes = 0;
 
   /// Storage backend the query algorithms read through (DESIGN.md §10).
@@ -83,13 +88,18 @@ struct KspOptions {
   /// order of magnitude larger than everything kDisk spills (DESIGN.md
   /// §12). `ksp_server_{alpha,reach}_index_bytes` report their size.
   StorageBackend backend = StorageBackend::kMemory;
-  /// Byte budget of the shared page pool (disk backend only).
+  /// Byte budget of the shared page pool (disk backend only). A
+  /// ShardedKspDatabase holds one pool for all of its shards, so the
+  /// budget bounds the whole sharded database.
   uint64_t buffer_pool_budget_bytes = 32ULL << 20;
   /// Page size of the spill files and pool (disk backend only).
   uint32_t buffer_pool_page_size = 4096;
   /// Directory for the disk backend's spill files. Empty (default)
   /// creates a private temp directory, removed when the database is
-  /// destroyed; a caller-provided directory is left in place.
+  /// destroyed; a caller-provided directory is left in place. Every
+  /// spill file is written to a temp name and renamed into place, so a
+  /// second database spilling into the directory of a live one (a hot
+  /// swap) leaves the live one reading its own files.
   std::string spill_directory;
 
   /// Restricts the spatial indexes (R-tree, and hence the α-index built
@@ -124,7 +134,8 @@ class KspDatabase {
  public:
   explicit KspDatabase(const KnowledgeBase* kb)
       : KspDatabase(kb, KspOptions()) {}
-  KspDatabase(const KnowledgeBase* kb, KspOptions options);
+  KspDatabase(const KnowledgeBase* kb, KspOptions options)
+      : KspDatabase(kb, std::move(options), nullptr, "rtree.bin") {}
   ~KspDatabase();
 
   KspDatabase(const KspDatabase&) = delete;
@@ -143,20 +154,6 @@ class KspDatabase {
 
   /// Builds the keyword-reachability oracle (Pruning Rule 1).
   void BuildReachabilityIndex();
-
-  /// Shares an already-built reachability oracle instead of building one.
-  /// The labels are keyed by KB vertex, not by place subset, so every
-  /// shard of one KB can adopt the same index — built (or loaded) once —
-  /// rather than paying the label construction K times. The index must
-  /// have been built over this KB with the same undirected_edges setting.
-  void AdoptReachabilityIndex(
-      std::shared_ptr<const ReachabilityIndex> reach);
-
-  /// The shared_ptr behind reachability_index(), for adoption by other
-  /// databases over the same KB (nullptr when unbuilt).
-  std::shared_ptr<const ReachabilityIndex> reachability_shared() const {
-    return reach_;
-  }
 
   /// Builds the α-radius word neighborhoods and their inverted file for
   /// the places the R-tree indexes (a shard: its tile) and the tree's
@@ -214,8 +211,10 @@ class KspDatabase {
   /// Requires has_rtree().
   const RTree& rtree() const { return *rtree_; }
   const RTree* rtree_ptr() const { return rtree_.get(); }
+  /// A shard answers this, the pool, the cache and the graph and
+  /// postings accessors from its sharded database's store.
   const ReachabilityIndex* reachability_index() const {
-    return reach_.get();
+    return kb_wide().reach_.get();
   }
   const AlphaIndex* alpha_index() const { return alpha_.get(); }
   PreprocessingTimes preprocessing_times() const { return prep_times_; }
@@ -246,20 +245,26 @@ class KspDatabase {
   /// The page pool the disk backend reads through, or nullptr on the
   /// in-memory backend. Thread-safe; exposed for Stats() snapshots.
   SharedBufferPool* buffer_pool() const {
-    return disk_ != nullptr ? &disk_->pool : nullptr;
+    const auto& disk = kb_wide().disk_;
+    return disk != nullptr ? &disk->pool : nullptr;
   }
 
   /// OK when the configured backend can serve queries: always on
   /// kMemory; on kDisk, once preparation has spilled the indexes and
-  /// opened the paged accessors. Executors surface this from
-  /// CheckPrepared so a failed spill is a clean query error rather than
-  /// a silent fallback to memory.
-  Status storage_backend_status() const { return disk_status_; }
+  /// opened the paged accessors (a shard: the store's error first).
+  /// Executors surface this from CheckPrepared so a failed spill is a
+  /// clean query error rather than a silent fallback to memory.
+  Status storage_backend_status() const {
+    const Status& store_status = kb_wide().disk_status_;
+    return store_status.ok() ? disk_status_ : store_status;
+  }
 
   /// The shared cross-query semantic cache, or nullptr when
   /// options().cache_budget_bytes == 0. Thread-safe; executors consult it
   /// on the query path and every index (re)build invalidates it.
-  SemanticQueryCache* semantic_cache() const { return cache_.get(); }
+  SemanticQueryCache* semantic_cache() const {
+    return kb_wide().cache_.get();
+  }
 
   /// Resolves keyword strings against the KB vocabulary and builds a
   /// query. Unknown keywords map to kInvalidTerm (the query then has an
@@ -269,6 +274,17 @@ class KspDatabase {
                      uint32_t k) const;
 
  private:
+  friend class ShardedKspDatabase;
+
+  /// A database over `kb`. With a `store` (ShardedKspDatabase only) it
+  /// is one shard tile (options.place_subset) that owns just its R-tree,
+  /// α index and paged R-tree, and reads everything KB-wide — graph and
+  /// postings accessors, pool, reachability labels, semantic cache —
+  /// through the store, which must outlive it. On kDisk its paged R-tree
+  /// goes into the store's spill directory as `rtree_spill_name`.
+  KspDatabase(const KnowledgeBase* kb, KspOptions options,
+              const KspDatabase* store, std::string rtree_spill_name);
+
   /// Everything the disk backend owns. The pool is declared first so it
   /// is destroyed last: the accessors deregister their files from it in
   /// their destructors.
@@ -284,8 +300,13 @@ class KspDatabase {
     bool owns_directory = false;
     std::unique_ptr<DiskGraphAccessor> graph;
     std::unique_ptr<DiskPostingsAccessor> postings;
-    std::unique_ptr<PagedRTree> rtree;
   };
+
+  /// The database holding the KB-wide state: the store for a shard,
+  /// this database otherwise.
+  const KspDatabase& kb_wide() const {
+    return store_ != nullptr ? *store_ : *this;
+  }
 
   /// Number of places the spatial indexes cover: the place subset when
   /// one is configured, else every KB place.
@@ -301,21 +322,28 @@ class KspDatabase {
 
   /// On kDisk: spills any not-yet-spilled index to the backend
   /// directory, (re)opens the paged accessors, and records the outcome
-  /// in disk_status_. The graph and postings are written once; the
-  /// paged R-tree is rewritten whenever rtree_ changes (node ids are
-  /// generation-specific). No-op on kMemory.
+  /// in disk_status_. The graph and postings are written once (by the
+  /// store, for a shard); the paged R-tree is rewritten whenever rtree_
+  /// changes (node ids are generation-specific). No-op on kMemory.
   void RefreshDiskBackend();
   Status BuildDiskBackendState();
+  /// Writes rtree_ (if built) into `disk`'s directory as
+  /// rtree_spill_name_ and opens paged_rtree_ over `disk`'s pool.
+  Status SpillRTree(DiskBackendState* disk);
 
   /// Drops every cached distance/result: index changes invalidate both
   /// cache layers (stale distances would silently corrupt looseness).
   void InvalidateCache() {
-    if (cache_ != nullptr) cache_->Invalidate();
+    if (SemanticQueryCache* cache = semantic_cache()) cache->Invalidate();
   }
 
   const KnowledgeBase* kb_;
   KspOptions options_;
   const InvertedIndex* inverted_;
+  /// The sharded database's whole-KB store; null unless this is a shard.
+  const KspDatabase* store_;
+  /// File name of the paged R-tree inside the spill directory.
+  std::string rtree_spill_name_;
 
   std::shared_ptr<const RTree> rtree_;
   std::shared_ptr<const ReachabilityIndex> reach_;
@@ -331,6 +359,9 @@ class KspDatabase {
   std::unique_ptr<MemorySpatialAccessor> mem_spatial_;
 
   std::unique_ptr<DiskBackendState> disk_;
+  /// Registered with disk_'s pool (a shard: the store's); declared after
+  /// disk_ so it is destroyed first.
+  std::unique_ptr<PagedRTree> paged_rtree_;
   /// Sticky result of the last RefreshDiskBackend(); OK on kMemory.
   Status disk_status_;
 };

@@ -231,10 +231,9 @@ void KspServer::Stop() {
       ::shutdown(fd, SHUT_RDWR);
     }
   }
-  for (std::thread& t : connection_threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : connection_threads_) t.join();
   connection_threads_.clear();
+  finished_connections_.clear();
 }
 
 void KspServer::AcceptLoop() {
@@ -248,11 +247,23 @@ void KspServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    const uint64_t conn_id = next_conn_id_++;
-    live_connections_[conn_id] = fd;
-    connection_threads_.emplace_back(
-        [this, fd, conn_id] { ConnectionLoop(fd, conn_id); });
+    // An exited but unjoined thread keeps its stack mapped: join the
+    // finished ones, outside the lock, before starting another.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      for (const uint64_t id : finished_connections_) {
+        finished.push_back(
+            std::move(connection_threads_.extract(id).mapped()));
+      }
+      finished_connections_.clear();
+      const uint64_t conn_id = next_conn_id_++;
+      live_connections_[conn_id] = fd;
+      connection_threads_.emplace(
+          conn_id,
+          std::thread([this, fd, conn_id] { ConnectionLoop(fd, conn_id); }));
+    }
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -353,6 +364,7 @@ void KspServer::ConnectionLoop(int fd, uint64_t conn_id) {
   ::close(fd);
   std::lock_guard<std::mutex> lock(conn_mu_);
   live_connections_.erase(conn_id);
+  finished_connections_.push_back(conn_id);
 }
 
 void KspServer::WorkerLoop() {

@@ -184,7 +184,10 @@ class KspServer {
 
   std::mutex conn_mu_;
   std::map<uint64_t, int> live_connections_;  // conn_id -> fd
-  std::vector<std::thread> connection_threads_;
+  std::map<uint64_t, std::thread> connection_threads_;
+  /// Connections whose thread has left ConnectionLoop; AcceptLoop joins
+  /// them before it starts the next thread, Stop() joins the rest.
+  std::vector<uint64_t> finished_connections_;
   uint64_t next_conn_id_ = 0;
 
   std::vector<std::thread> workers_;

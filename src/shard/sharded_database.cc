@@ -14,8 +14,11 @@ namespace ksp {
 namespace {
 
 constexpr uint32_t kShardsMagic = 0x4B535348u;  // "KSSH"
-constexpr uint32_t kShardsVersion = 1;
+/// Version 2: the reachability labels live once, in the store's `kb/`
+/// directory. Version 1 directories kept a copy in every shard directory.
+constexpr uint32_t kShardsVersion = 2;
 constexpr char kShardsName[] = "SHARDS";
+constexpr char kStoreDirName[] = "kb";
 
 std::string ShardDirName(uint32_t shard) {
   char buf[32];
@@ -52,8 +55,10 @@ Result<ShardPartition> ReadShardsManifest(FileSystem* fs,
   uint32_t version = 0;
   KSP_RETURN_NOT_OK(reader.Open(kShardsMagic, &version));
   if (version != kShardsVersion) {
-    return CorruptionAt(path, 4, "unsupported SHARDS version " +
-                                     std::to_string(version));
+    return CorruptionAt(path, 4,
+                        "unsupported SHARDS version " +
+                            std::to_string(version) +
+                            " (re-save the sharded database)");
   }
   std::string body;
   const uint64_t body_offset = reader.offset();
@@ -118,19 +123,19 @@ Result<std::unique_ptr<ShardedKspDatabase>> ShardedKspDatabase::MakeShells(
   db->base_options_ = base;
   db->base_options_.place_subset.clear();
   db->partition_ = std::move(partition);
+  // The store spills the graph and postings (kDisk) on construction.
+  db->store_ = std::make_unique<KspDatabase>(kb, db->base_options_);
   db->mbrs_.reserve(db->partition_.tiles.size());
   db->shards_.resize(db->partition_.tiles.size());
   for (uint32_t i = 0; i < db->partition_.num_tiles(); ++i) {
     const std::vector<PlaceId>& tile = db->partition_.tiles[i];
     db->mbrs_.push_back(TileMbr(*kb, tile));
     if (tile.empty()) continue;  // Empty tile: no shard database.
-    KspOptions options = base;
+    KspOptions options = db->base_options_;
     options.place_subset = tile;
-    // Shard spill files must not collide in a caller-provided directory.
-    if (!options.spill_directory.empty()) {
-      options.spill_directory += "/" + ShardDirName(i);
-    }
-    db->shards_[i] = std::make_unique<KspDatabase>(kb, options);
+    db->shards_[i] = std::unique_ptr<KspDatabase>(
+        new KspDatabase(kb, std::move(options), db->store_.get(),
+                        "rtree-" + ShardDirName(i) + ".bin"));
   }
   return db;
 }
@@ -141,17 +146,12 @@ Result<std::unique_ptr<ShardedKspDatabase>> ShardedKspDatabase::Build(
   KSP_ASSIGN_OR_RETURN(auto db, MakeShells(kb, base, partition));
 
   // Reachability labels are vertex-keyed and identical for every shard:
-  // build them once and let each shard adopt the shared instance.
-  std::shared_ptr<const ReachabilityIndex> reach;
-  if (base.use_unqualified_pruning) {
-    reach = std::make_shared<const ReachabilityIndex>(
-        ReachabilityIndex::Build(kb->graph(), kb->documents(),
-                                 kb->num_terms(), base.undirected_edges));
-  }
+  // the store builds them once.
+  if (base.use_unqualified_pruning) db->store_->BuildReachabilityIndex();
+  KSP_RETURN_NOT_OK(db->store_->storage_backend_status());
   for (std::unique_ptr<KspDatabase>& shard : db->shards_) {
     if (shard == nullptr) continue;
     shard->BuildRTree();
-    if (reach != nullptr) shard->AdoptReachabilityIndex(reach);
     if (alpha > 0) shard->BuildAlphaIndex(alpha);
     KSP_RETURN_NOT_OK(shard->storage_backend_status());
   }
@@ -168,30 +168,23 @@ Result<std::unique_ptr<ShardedKspDatabase>> ShardedKspDatabase::Load(
   KSP_ASSIGN_OR_RETURN(auto db,
                        MakeShells(kb, base, std::move(partition)));
 
-  // Load every shard, then require one common generation: a torn save
-  // (aligned prefix at generation g+1, suffix still at g) must never be
-  // served as a mixed index set.
-  uint64_t generation = 0;
-  bool first = true;
-  std::shared_ptr<const ReachabilityIndex> shared_reach;
+  // Load the store, then every shard, and require one common generation:
+  // a torn save (aligned prefix at generation g+1, the rest still at g)
+  // must never be served as a mixed index set.
+  KSP_RETURN_NOT_OK(
+      db->store_->LoadIndexes(directory + "/" + kStoreDirName, fs));
+  const uint64_t generation = db->store_->index_generation();
   for (uint32_t i = 0; i < db->num_shards(); ++i) {
     KspDatabase* shard = db->shards_[i].get();
     if (shard == nullptr) continue;
     KSP_RETURN_NOT_OK(
         shard->LoadIndexes(directory + "/" + ShardDirName(i), fs));
-    if (first) {
-      generation = shard->index_generation();
-      shared_reach = shard->reachability_shared();
-      first = false;
-    } else if (shard->index_generation() != generation) {
+    if (shard->index_generation() != generation) {
       return Status::Corruption(
           "shard generations diverge (torn save?): shard " +
           ShardDirName(i) + " is at generation " +
-          std::to_string(shard->index_generation()) + ", expected " +
-          std::to_string(generation));
-    } else if (shared_reach != nullptr) {
-      // Drop this shard's duplicate labels for the shared copy.
-      shard->AdoptReachabilityIndex(shared_reach);
+          std::to_string(shard->index_generation()) + ", " +
+          kStoreDirName + " at " + std::to_string(generation));
     }
   }
   db->index_generation_ = generation;
@@ -204,19 +197,30 @@ Status ShardedKspDatabase::Save(const std::string& directory,
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
 
-  // Ascending shard order with the generation floor carried forward:
-  // SaveIndexes returns the generation it published and every later
-  // shard is forced to at least that number. Combined with the read-back
-  // this keeps a completed save perfectly aligned, and an interrupted
-  // one leaves an aligned prefix — which Load detects and refuses.
-  uint64_t generation_floor = 0;
+  // Every shard directory in ascending order, then kb/, with the
+  // generation floor carried forward: SaveIndexes publishes one past the
+  // directory's generation, at least the floor, and returns it. Over an
+  // aligned directory that is one aligned pass; an interrupted save leaves
+  // an aligned prefix bumped, which Load detects and refuses. The floor
+  // only rises, so the pass is aligned iff its first and last agree. When
+  // some directory was ahead of those before it (a torn save, or one
+  // bumped by hand), a second pass at one past the highest aligns all.
+  std::vector<std::pair<const KspDatabase*, std::string>> parts;
   for (uint32_t i = 0; i < num_shards(); ++i) {
     if (shards_[i] == nullptr) continue;
-    uint64_t published = 0;
-    KSP_RETURN_NOT_OK(
-        shards_[i]->SaveIndexes(directory + "/" + ShardDirName(i), fs,
-                                generation_floor, &published));
-    generation_floor = published;
+    parts.emplace_back(shards_[i].get(), directory + "/" + ShardDirName(i));
+  }
+  parts.emplace_back(store_.get(), directory + "/" + kStoreDirName);
+  uint64_t floor = 0;
+  uint64_t first = 0;
+  for (const auto& [db, part_dir] : parts) {
+    KSP_RETURN_NOT_OK(db->SaveIndexes(part_dir, fs, floor, &floor));
+    if (first == 0) first = floor;
+  }
+  if (first != floor) {
+    for (const auto& [db, part_dir] : parts) {
+      KSP_RETURN_NOT_OK(db->SaveIndexes(part_dir, fs, floor + 1));
+    }
   }
   // SHARDS last: a directory is a loadable sharded database only once
   // the partition is durably recorded.
@@ -225,6 +229,7 @@ Status ShardedKspDatabase::Save(const std::string& directory,
 }
 
 Status ShardedKspDatabase::storage_backend_status() const {
+  KSP_RETURN_NOT_OK(store_->storage_backend_status());
   for (const std::unique_ptr<KspDatabase>& shard : shards_) {
     if (shard == nullptr) continue;
     KSP_RETURN_NOT_OK(shard->storage_backend_status());
@@ -240,11 +245,7 @@ bool IsShardedDirectory(const std::string& directory, FileSystem* fs) {
 KspQuery ShardedKspDatabase::MakeQuery(
     const Point& location, const std::vector<std::string>& keywords,
     uint32_t k) const {
-  KspQuery query;
-  query.location = location;
-  query.keywords = kb_->LookupTerms(keywords);
-  query.k = k;
-  return query;
+  return store_->MakeQuery(location, keywords, k);
 }
 
 }  // namespace ksp

@@ -3,8 +3,8 @@
 #include <functional>
 #include <span>
 
+#include "common/io_util.h"
 #include "common/varint.h"
-#include "storage/paged_file.h"
 
 namespace ksp {
 
@@ -15,12 +15,13 @@ namespace {
 /// ascending (non-strict) for the delta encoding.
 Status WriteAdjacencyFile(
     const Graph& graph, const std::string& path, uint32_t page_size,
+    FileSystem* fs,
     const std::function<std::span<const VertexId>(VertexId)>&
         neighbors_of) {
   if (page_size == 0) {
     return Status::InvalidArgument("page_size must be positive");
   }
-  KSP_ASSIGN_OR_RETURN(auto writer, PagedFileWriter::Create(path));
+  if (fs == nullptr) fs = DefaultFileSystem();
 
   const VertexId n = graph.num_vertices();
   std::string header;
@@ -28,7 +29,6 @@ Status WriteAdjacencyFile(
   PutFixed32(&header, page_size);
   PutFixed64(&header, n);
   PutFixed64(&header, graph.num_edges());
-  KSP_RETURN_NOT_OK(writer->Append(header));
 
   // Encode all adjacency records first to learn their offsets.
   const uint64_t table_begin = header.size();
@@ -51,29 +51,31 @@ Status WriteAdjacencyFile(
     data += record;
   }
   PutFixed64(&table, cursor);
-  KSP_RETURN_NOT_OK(writer->Append(table));
-  KSP_RETURN_NOT_OK(writer->Append(data));
 
   std::string footer;
   PutFixed32(&footer, DiskGraph::kMagic);
-  KSP_RETURN_NOT_OK(writer->Append(footer));
-  return writer->Close();
+  return WriteFileAtomically(fs, path, [&](WritableFile* file) {
+    for (const std::string* part : {&header, &table, &data, &footer}) {
+      KSP_RETURN_NOT_OK(file->Append(*part));
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace
 
 Status DiskGraph::Write(const Graph& graph, const std::string& path,
-                        uint32_t page_size) {
+                        uint32_t page_size, FileSystem* fs) {
   return WriteAdjacencyFile(
-      graph, path, page_size,
+      graph, path, page_size, fs,
       [&graph](VertexId v) { return graph.OutNeighbors(v); });
 }
 
 Status DiskGraph::WriteTranspose(const Graph& graph,
                                  const std::string& path,
-                                 uint32_t page_size) {
+                                 uint32_t page_size, FileSystem* fs) {
   return WriteAdjacencyFile(
-      graph, path, page_size,
+      graph, path, page_size, fs,
       [&graph](VertexId v) { return graph.InNeighbors(v); });
 }
 

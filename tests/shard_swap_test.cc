@@ -108,12 +108,17 @@ TEST(ShardSwapTest, ShardedSwapUnderLoadIsAtomicAndExact) {
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   std::atomic<bool> swapping_done{false};
+  // Clients that have had a first answer (or gave up connecting). The
+  // swapper waits for all of them, so the swaps cannot finish before
+  // the load starts.
+  std::atomic<int> clients_answered{0};
 
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
       auto client = KspClient::Connect("127.0.0.1", server.port());
       if (!client.ok()) {
         failures.fetch_add(kRequestsPerClient);
+        clients_answered.fetch_add(1);
         return;
       }
       int sent = 0;
@@ -122,7 +127,7 @@ TEST(ShardSwapTest, ShardedSwapUnderLoadIsAtomicAndExact) {
         auto response =
             client->Query(KspAlgorithm::kSp, queries[qi].location,
                           KeywordStrings(*kb, queries[qi]), queries[qi].k);
-        ++sent;
+        if (++sent == 1) clients_answered.fetch_add(1);
         if (!response.ok() || !response->ok()) {
           ++failures;  // A swap must never surface as any kind of error.
           continue;
@@ -151,6 +156,7 @@ TEST(ShardSwapTest, ShardedSwapUnderLoadIsAtomicAndExact) {
   }
 
   // Swap the whole shard ensemble twice over the wire, mid-load.
+  while (clients_answered.load() < kClients) std::this_thread::yield();
   {
     auto swapper = KspClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(swapper.ok());
