@@ -96,15 +96,6 @@ QueryExecutor::QueryExecutor(const KspDatabase* db) : db_(db) {
 // Out of line: ~unique_ptr<IntraQueryPipeline> needs the complete type.
 QueryExecutor::~QueryExecutor() = default;
 
-IntraQueryPipeline* QueryExecutor::EnsurePipeline() {
-  if (pipeline_ == nullptr ||
-      pipeline_->num_workers() != intra_query_threads_) {
-    pipeline_ =
-        std::make_unique<IntraQueryPipeline>(db_, intra_query_threads_);
-  }
-  return pipeline_.get();
-}
-
 void QueryExecutor::set_metrics(MetricsRegistry* registry) {
   metrics_ = MetricsHandles{};
   metrics_.registry = registry;
@@ -185,13 +176,6 @@ void QueryExecutor::RecordQueryMetrics(const QueryStats& stats) {
           trace->PhaseExclusiveUs(static_cast<TracePhase>(p))));
     }
   }
-}
-
-Status QueryExecutor::FinishInterrupted(QueryStats* st) {
-  st->completed = false;
-  if (metrics_.cancellations != nullptr) metrics_.cancellations->Increment();
-  RecordQueryMetrics(*st);
-  return interrupt_status_;
 }
 
 Status QueryExecutor::CheckPrepared() const {
@@ -583,7 +567,7 @@ bool QueryExecutor::IsUnqualifiedPlace(VertexId root,
 QueryExecutor::CachedTqsp QueryExecutor::TryCachedTqsp(
     VertexId root, PlaceId place, const QueryContext& ctx,
     double looseness_threshold, bool use_rule2, const TopKHeap& heap,
-    double spatial, double* looseness) const {
+    double spatial) const {
   SemanticQueryCache* cache = db_->semantic_cache();
   if (cache == nullptr) return CachedTqsp::kMiss;
   double l = 1.0;
@@ -592,13 +576,9 @@ QueryExecutor::CachedTqsp QueryExecutor::TryCachedTqsp(
     if (!cache->LookupDistance(root, t, cache_epoch_, &d)) {
       return CachedTqsp::kMiss;
     }
-    if (d == kUnreachable) {
-      *looseness = kInf;
-      return CachedTqsp::kUnqualified;
-    }
+    if (d == kUnreachable) return CachedTqsp::kUnqualified;
     l += static_cast<double>(d);
   }
-  *looseness = l;
   // Exactly the sequential Rule-2 outcome: the BFS aborts via the
   // dynamic bound iff L >= the threshold (see DESIGN.md §9 — at the pop
   // that would cover the last keyword, Lemma 1's bound equals L).

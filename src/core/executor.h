@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/cancellation.h"
 #include "common/metrics.h"
 #include "common/result.h"
+#include "common/timer.h"
 #include "common/types.h"
 #include "core/database.h"
 #include "core/explain.h"
@@ -265,8 +267,71 @@ class QueryExecutor {
   /// keyword bits into keyword_masks_.
   Status PrepareContext(const KspQuery& query, QueryContext* ctx);
 
-  /// The prepared-before-query contract: every Execute* calls this first.
+  /// The prepared-before-query contract: BeginRun checks it first.
   Status CheckPrepared() const;
+
+  /// How a place-at-a-time run (BSP/SPP/SP) orders and prunes its
+  /// candidates. Also the path component of its result-cache key.
+  struct PlaceScan {
+    /// SP's f_B^α queue (AlphaStream); else the incremental-NN stream.
+    bool alpha_ordered = false;
+    bool use_rule1 = false;
+    bool use_rule2 = false;
+  };
+
+  /// One Execute* call from the shared prologue (BeginRun) to the shared
+  /// epilogue (FinishRun).
+  struct QueryRun {
+    explicit QueryRun(QueryStats* stats)
+        : st(stats != nullptr ? stats : &local_stats) {}
+    QueryRun(const QueryRun&) = delete;
+    QueryRun& operator=(const QueryRun&) = delete;
+
+    QueryStats local_stats;
+    QueryStats* st;
+    Timer total_timer;
+    QueryTrace* trace = nullptr;
+    QueryContext ctx;
+    /// Summed TQSP time; FinishRun stamps it as semantic_ms.
+    double semantic_seconds = 0.0;
+    /// Result-cache key; empty while the result layer is off for the run.
+    std::string result_key;
+    /// A result-cache hit, already accounted: the caller returns it as is.
+    std::optional<KspResult> cached;
+  };
+
+  /// Shared prologue of all five Execute*: checks the database is
+  /// prepared (and, for `scan`, the indexes its rules read), resets the
+  /// stats, opens the query (interrupt, cache epoch, trace, cursor I/O),
+  /// probes the result cache (place-at-a-time runs only; a hit is
+  /// finished here and left in run->cached), and prepares the keyword
+  /// context under doc_fetch. TA and keyword-only pass no scan.
+  Status BeginRun(const KspQuery& query, const PlaceScan* scan,
+                  QueryRun* run);
+
+  /// Shared epilogue: stamps semantic_ms/total_ms, then either fails an
+  /// interrupted query with its partial stats, or caches a completed
+  /// result (when the result layer is on) and records the metrics.
+  Result<KspResult> FinishRun(QueryRun* run, KspResult result);
+
+  /// The per-candidate stop test of every scan loop: true (and the
+  /// reason noted for Explain) once the time limit passed — the stats
+  /// are then incomplete — or the query was cancelled.
+  bool ScanStopped(QueryRun* run);
+
+  /// The per-place step of BSP/SPP/SP: Pruning Rule 1, the Rule-2
+  /// threshold, the dg-cache fast path, the TQSP BFS (Algorithms 2/3),
+  /// the Explain row (`score_bound` is its bound column) and top-k
+  /// admission, for one place popped at θ = `theta`. An interrupted BFS
+  /// leaves interrupt_status_ set: the caller stops its scan.
+  Status VisitPlace(QueryRun* run, const PlaceScan& scan, PlaceId place,
+                    double spatial, double theta, double score_bound,
+                    TopKHeap* heap);
+
+  /// Runs the scan on the intra-query pipeline instead of the sequential
+  /// loop. An interruption lands in interrupt_status_ for FinishRun; any
+  /// other error (a disk-backend read failure) is returned.
+  Status RunOnPipeline(const PlaceScan& scan, QueryRun* run, TopKHeap* heap);
 
   /// Shared loop of BSP and SPP: places in ascending spatial distance,
   /// optional Pruning Rules 1 and 2.
@@ -301,13 +366,11 @@ class QueryExecutor {
   /// must run to materialize its tree.
   enum class CachedTqsp { kMiss, kUnqualified, kPrunedRule2, kRejected };
 
-  /// Probes the shared dg cache for every keyword of `ctx`. On kPrunedRule2
-  /// / kRejected, `*looseness` holds the exact L(T_p).
+  /// Probes the shared dg cache for every keyword of `ctx`.
   CachedTqsp TryCachedTqsp(VertexId root, PlaceId place,
                            const QueryContext& ctx,
                            double looseness_threshold, bool use_rule2,
-                           const TopKHeap& heap, double spatial,
-                           double* looseness) const;
+                           const TopKHeap& heap, double spatial) const;
 
   /// Advances the BFS epoch, zero-filling the visit array when the
   /// uint32_t counter wraps (stale marks would otherwise alias the fresh
@@ -368,25 +431,6 @@ class QueryExecutor {
     return metrics_.registry != nullptr ? &internal_trace_ : nullptr;
   }
 
-  /// Clears the active trace for a fresh query; every Execute* entry
-  /// point calls this once.
-  QueryTrace* BeginQueryTrace() {
-    QueryTrace* trace = active_trace();
-    if (trace != nullptr) trace->Clear();
-    return trace;
-  }
-
-  /// Per-query entry bookkeeping shared by every Execute*: clears the
-  /// sticky interrupt status from a previous (cancelled) run and
-  /// snapshots the semantic-cache invalidation epoch every cache
-  /// operation of this query is tagged with (see SemanticQueryCache).
-  QueryTrace* BeginQuery() {
-    interrupt_status_ = Status::OK();
-    const SemanticQueryCache* cache = db_->semantic_cache();
-    cache_epoch_ = cache != nullptr ? cache->epoch() : 0;
-    return BeginQueryTrace();
-  }
-
   /// Polls the attached cancellation token (no token: always false). The
   /// first trip sticks in interrupt_status_ until the next Execute*, so
   /// every later poll of the same query is a cheap branch and the
@@ -399,12 +443,6 @@ class QueryExecutor {
     }
     return !interrupt_status_.ok();
   }
-
-  /// Interrupted-query epilogue: marks the stats incomplete, bumps the
-  /// cancellations counter, flushes metrics, and returns the interrupt
-  /// status. Callers stamp total_ms/semantic_ms first — the partial
-  /// stats stay observable on the caller-provided QueryStats.
-  Status FinishInterrupted(QueryStats* st);
 
   /// Flushes one finished query into the metrics registry: QueryStats
   /// counters, wall/semantic time, the latency histogram, and the active
@@ -439,9 +477,6 @@ class QueryExecutor {
     const double global = shared_theta_->load(std::memory_order_acquire);
     return global < local ? global : local;
   }
-
-  /// Lazily (re)builds the pipeline to match intra_query_threads_.
-  IntraQueryPipeline* EnsurePipeline();
 
   const KspDatabase* db_;
 
@@ -485,11 +520,11 @@ class QueryExecutor {
 
   /// Cooperative cancellation (see set_cancellation). interrupt_status_
   /// is the sticky first trip of the current query; cleared by
-  /// BeginQuery()/set_cancellation.
+  /// BeginRun()/set_cancellation.
   CancellationToken* cancel_ = nullptr;
   Status interrupt_status_;
 
-  /// Semantic-cache epoch snapshot of the current query (BeginQuery);
+  /// Semantic-cache epoch snapshot of the current query (BeginRun);
   /// tags every cache lookup/insert so an index reload mid-query can
   /// never mix cached data across generations. The pipeline copies the
   /// driving executor's snapshot onto its workers.

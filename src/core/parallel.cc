@@ -40,14 +40,6 @@ Result<KspResult> ExecuteWith(QueryExecutor* executor,
   return Status::InvalidArgument("unknown algorithm");
 }
 
-Result<KspResult> ExecuteWith(QueryExecutor* executor,
-                              KspAlgorithm algorithm, const KspQuery& query,
-                              const QueryExecutionOptions& execution,
-                              QueryStats* stats) {
-  executor->set_intra_query_threads(execution.intra_query_threads);
-  return ExecuteWith(executor, algorithm, query, stats);
-}
-
 QueryExecutorPool::QueryExecutorPool(const KspDatabase* db,
                                      size_t num_threads)
     : db_(db), workers_(num_threads == 0 ? 1 : num_threads) {
@@ -113,15 +105,6 @@ void QueryExecutorPool::WorkerLoop(Worker* worker) {
 
 Result<std::vector<KspResult>> QueryExecutorPool::Run(
     const std::vector<KspQuery>& queries, KspAlgorithm algorithm,
-    const QueryExecutionOptions& execution, BatchRunStats* stats) {
-  for (Worker& worker : workers_) {
-    worker.executor->set_intra_query_threads(execution.intra_query_threads);
-  }
-  return Run(queries, algorithm, stats);
-}
-
-Result<std::vector<KspResult>> QueryExecutorPool::Run(
-    const std::vector<KspQuery>& queries, KspAlgorithm algorithm,
     BatchRunStats* stats) {
   std::vector<KspResult> results(queries.size());
   if (queries.empty()) {
@@ -182,7 +165,6 @@ Result<std::vector<KspResult>> RunQueryBatch(
     MetricsRegistry registry;
     QueryExecutor executor(&db);
     executor.set_metrics(&registry);
-    executor.set_intra_query_threads(options.execution.intra_query_threads);
     QueryStats sum;
     for (size_t i = 0; i < queries.size(); ++i) {
       QueryStats query_stats;
@@ -201,7 +183,7 @@ Result<std::vector<KspResult>> RunQueryBatch(
   }
 
   QueryExecutorPool pool(&db, options.num_threads);
-  return pool.Run(queries, options.algorithm, options.execution, stats);
+  return pool.Run(queries, options.algorithm, stats);
 }
 
 }  // namespace ksp

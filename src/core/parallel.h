@@ -16,37 +16,16 @@
 
 namespace ksp {
 
-/// Per-query execution knobs, orthogonal to the algorithm choice.
-struct QueryExecutionOptions {
-  /// Intra-query parallelism for BSP/SPP/SP (DESIGN.md §8): >= 2 runs
-  /// the speculative producer/worker/ordered-commit pipeline with that
-  /// many TQSP workers; results are bit-identical to sequential at every
-  /// value. 1 (default) runs the untouched sequential path. TA and
-  /// keyword-only ignore this.
-  uint32_t intra_query_threads = 1;
-};
-
 /// Dispatches one query on one executor.
 Result<KspResult> ExecuteWith(QueryExecutor* executor,
                               KspAlgorithm algorithm, const KspQuery& query,
                               QueryStats* stats = nullptr);
 
-/// Like above, applying `execution` (e.g. intra-query threads) to the
-/// executor for this and subsequent calls.
-Result<KspResult> ExecuteWith(QueryExecutor* executor,
-                              KspAlgorithm algorithm, const KspQuery& query,
-                              const QueryExecutionOptions& execution,
-                              QueryStats* stats = nullptr);
-
 struct BatchRunOptions {
   KspAlgorithm algorithm = KspAlgorithm::kSp;
   /// Worker threads; each runs its own QueryExecutor against the shared
-  /// database. 1 executes inline on the calling thread. Composes with
-  /// execution.intra_query_threads (total threads ≈ product; prefer
-  /// inter-query parallelism for throughput, intra-query for latency).
+  /// database. 1 executes inline on the calling thread.
   size_t num_threads = 1;
-  /// Per-query execution knobs applied to every executor in the batch.
-  QueryExecutionOptions execution;
 };
 
 /// Per-batch aggregate instrumentation. Per-query counters are summed
@@ -90,12 +69,6 @@ class QueryExecutorPool {
   /// totals and per-worker wall-clock.
   Result<std::vector<KspResult>> Run(const std::vector<KspQuery>& queries,
                                      KspAlgorithm algorithm,
-                                     BatchRunStats* stats = nullptr);
-
-  /// Like Run(), applying `execution` to every pool executor first.
-  Result<std::vector<KspResult>> Run(const std::vector<KspQuery>& queries,
-                                     KspAlgorithm algorithm,
-                                     const QueryExecutionOptions& execution,
                                      BatchRunStats* stats = nullptr);
 
  private:

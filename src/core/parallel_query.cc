@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/alpha_stream.h"
 #include "spatial/rtree.h"
 
 namespace ksp {
@@ -15,23 +15,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Stream granularity of the spatial-first producer: one lock round-trip
-/// and one NN-iterator mutex acquisition per batch.
+/// and one trace span per batch.
 constexpr size_t kProducerBatchSize = 32;
-
-/// Mirror of the SP priority-queue item in sp.cc — the producer replays
-/// the exact sequential pop order, so the key and tie layout must match.
-struct AlphaQueueItem {
-  double score_bound;
-  double spatial_lb;
-  bool is_node;
-  uint64_t id;
-};
-
-struct AlphaQueueOrder {
-  bool operator()(const AlphaQueueItem& a, const AlphaQueueItem& b) const {
-    return a.score_bound > b.score_bound;  // Min-heap.
-  }
-};
 
 /// Member-wise `cumulative - *snapshot`, advancing the snapshot — the
 /// producer folds cumulative iterator/cursor counters incrementally so
@@ -86,10 +71,10 @@ void IntraQueryPipeline::ProducerLoop() {
              [&] { return shutdown_ || generation_ != seen_generation; });
     if (shutdown_) return;
     seen_generation = generation_;
-    const Mode mode = mode_;
+    const bool alpha_ordered = alpha_ordered_;
     lock.unlock();
-    const Status status = mode == Mode::kSpatialFirst ? ProduceSpatialFirst()
-                                                      : ProduceAlphaOrdered();
+    const Status status =
+        alpha_ordered ? ProduceAlphaOrdered() : ProduceSpatialFirst();
     lock.lock();
     producer_page_io_.Add(producer_cursor_.io);
     producer_cursor_.io = PageIoCounters();
@@ -165,20 +150,30 @@ bool IntraQueryPipeline::EmitSlot(std::unique_lock<std::mutex>& lock,
 }
 
 Status IntraQueryPipeline::ProduceSpatialFirst() {
-  const KspOptions& options = db_->options();
+  const RankingFunction& ranking = db_->options().ranking;
   QueryTrace* ptrace = tracing_ ? &producer_trace_ : nullptr;
-  BatchedNearestIterator iterator(db_->spatial_accessor(), query_->location);
-  std::vector<BatchedNearestIterator::BatchItem> batch;
+  NearestIterator iterator(db_->spatial_accessor(), query_->location);
+  // A stream item and the iterator's nodes-accessed count right after it
+  // popped: the exact value a sequential scan stopping on it reports.
+  struct Popped {
+    NearestIterator::Item item;
+    uint64_t nodes_accessed = 0;
+  };
+  std::vector<Popped> batch;
   batch.reserve(kProducerBatchSize);
   PageIoCounters io_snapshot;
   bool stop_stream = false;
   while (!stop_stream) {
     batch.clear();
-    size_t fetched;
     {
       TraceSpan span(ptrace, TracePhase::kRtreeNn);
-      fetched = iterator.NextBatch(kProducerBatchSize, &batch);
-      span.AddItems(fetched);
+      Popped popped;
+      while (batch.size() < kProducerBatchSize &&
+             iterator.Next(&popped.item)) {
+        popped.nodes_accessed = iterator.nodes_accessed();
+        batch.push_back(popped);
+      }
+      span.AddItems(batch.size());
       const PageIoCounters delta = TakeIoDelta(iterator.io(), &io_snapshot);
       if (ptrace != nullptr && !delta.IsZero()) {
         ptrace->AddChildTime(TracePhase::kPageIo, delta.RoundedMicros(),
@@ -186,13 +181,13 @@ Status IntraQueryPipeline::ProduceSpatialFirst() {
       }
       producer_cursor_.io.Add(delta);
     }
-    if (fetched == 0) break;
+    if (batch.empty()) break;
     std::unique_lock<std::mutex> lock(mu_);
-    for (const BatchedNearestIterator::BatchItem& bi : batch) {
+    for (const Popped& p : batch) {
       const double score_bound =
-          options.ranking.MinScoreGivenSpatialDistance(bi.item.distance);
-      if (!EmitSlot(lock, bi.item.is_node, bi.item.id, bi.item.distance,
-                    score_bound, bi.nodes_accessed)) {
+          ranking.MinScoreGivenSpatialDistance(p.item.distance);
+      if (!EmitSlot(lock, p.item.is_node, p.item.id, p.item.distance,
+                    score_bound, p.nodes_accessed)) {
         return Status::OK();  // Run stopped (commit terminated/timed out).
       }
       // Sound early stop: θ only decreases, so if this item's bound
@@ -215,8 +210,6 @@ Status IntraQueryPipeline::ProduceSpatialFirst() {
 Status IntraQueryPipeline::ProduceAlphaOrdered() {
   const KspOptions& options = db_->options();
   const SpatialAccessor& rtree = *db_->spatial_accessor();
-  const AlphaIndex& alpha = *db_->alpha_index();
-  const double alpha_plus_one = static_cast<double>(alpha.alpha() + 1);
   QueryTrace* ptrace = tracing_ ? &producer_trace_ : nullptr;
   // Snapshot of producer_cursor_.io already credited to ptrace — reads
   // fold their delta into the trace right where they happen, while the
@@ -231,35 +224,16 @@ Status IntraQueryPipeline::ProduceAlphaOrdered() {
     }
   };
 
-  // Keep in sync with the sequential bound in sp.cc (Lemmas 2 and 4).
-  auto alpha_looseness_bound = [&](uint32_t entry_id) {
-    double bound = 1.0;
-    for (TermId t : ctx_->terms) {
-      auto d = alpha.EntryTermDistance(entry_id, t);
-      bound += d.has_value() ? static_cast<double>(*d) : alpha_plus_one;
-    }
-    return bound;
-  };
+  // The same stream the sequential SP loop drains, so the pop order is
+  // the sequential one.
+  AlphaStream stream(rtree, *db_->alpha_index(), options.ranking,
+                     query_->location, ctx_->terms);
+  const Status root_status = stream.PushRoot(&producer_cursor_);
+  fold_read_io();
+  KSP_RETURN_NOT_OK(root_status);
 
-  std::priority_queue<AlphaQueueItem, std::vector<AlphaQueueItem>,
-                      AlphaQueueOrder>
-      pq;
-  {
-    const uint32_t root = rtree.root();
-    Rect root_rect;
-    const Status root_status =
-        rtree.NodeRect(root, &producer_cursor_, &root_rect);
-    fold_read_io();
-    KSP_RETURN_NOT_OK(root_status);
-    const double s_lb = MinDist(query_->location, root_rect);
-    const double l_b = alpha_looseness_bound(alpha.NodeEntry(root));
-    pq.push(AlphaQueueItem{options.ranking.Score(l_b, s_lb), s_lb,
-                           /*is_node=*/true, root});
-  }
-
-  while (!pq.empty()) {
-    AlphaQueueItem item = pq.top();
-    pq.pop();
+  while (!stream.empty()) {
+    const AlphaQueueItem item = stream.Pop();
 
     if (!item.is_node) {
       std::unique_lock<std::mutex> lock(mu_);
@@ -301,23 +275,11 @@ Status IntraQueryPipeline::ProduceAlphaOrdered() {
     fold_read_io();
     KSP_RETURN_NOT_OK(node_status);
     span.AddItems(node.entries.size());
-    for (const RTree::Entry& e : node.entries) {
-      const double s_lb = MinDist(query_->location, e.rect);
-      const uint32_t entry_id =
-          node.is_leaf ? alpha.PlaceEntry(static_cast<PlaceId>(e.id))
-                       : alpha.NodeEntry(static_cast<uint32_t>(e.id));
-      const double l_b = alpha_looseness_bound(entry_id);
-      const double f_b = options.ranking.Score(l_b, s_lb);
-      if (f_b >= theta) {
-        if (node.is_leaf) {
-          ++producer_pruned_rule3_;  // Pruning Rule 3.
-        } else {
-          ++producer_pruned_rule4_;  // Pruning Rule 4.
-        }
-        continue;
-      }
-      pq.push(AlphaQueueItem{f_b, s_lb, !node.is_leaf, e.id});
-    }
+    stream.PushChildren(node, theta, [&](const AlphaQueueItem& child,
+                                         double /*looseness_bound*/) {
+      // Pruning Rule 4 (subtree) or Rule 3 (place).
+      ++(child.is_node ? producer_pruned_rule4_ : producer_pruned_rule3_);
+    });
   }
   return Status::OK();
 }
@@ -453,35 +415,29 @@ void IntraQueryPipeline::CommitLoop(std::unique_lock<std::mutex>& lock,
       return;
     }
     Slot& slot = ring_[committed_ % ring_.size()];
+    // Stops the run on this slot, with the node count the sequential scan
+    // reports there: the slot's snapshot (spatial-first) or the count
+    // kept behind the SP barrier.
+    auto stop_here = [&](bool completed) {
+      if (!completed) st->completed = false;
+      st->rtree_nodes_accessed =
+          alpha_ordered_ ? producer_rtree_nodes_ : slot.rtree_nodes;
+    };
     // Same per-item order as the sequential loops: timeout first, then
     // the ascending-bound termination test, then the candidate itself.
-    if (total_timer.ElapsedMillis() > options.time_limit_ms) {
-      st->completed = false;
-      st->rtree_nodes_accessed = mode_ == Mode::kSpatialFirst
-                                     ? slot.rtree_nodes
-                                     : producer_rtree_nodes_;
-      return;
-    }
-    if (interrupted()) {
-      st->completed = false;
-      st->rtree_nodes_accessed = mode_ == Mode::kSpatialFirst
-                                     ? slot.rtree_nodes
-                                     : producer_rtree_nodes_;
+    if (total_timer.ElapsedMillis() > options.time_limit_ms ||
+        interrupted()) {
+      stop_here(/*completed=*/false);
       return;
     }
     if (slot.score_bound >= heap->Threshold()) {
-      st->rtree_nodes_accessed = mode_ == Mode::kSpatialFirst
-                                     ? slot.rtree_nodes
-                                     : producer_rtree_nodes_;
+      stop_here(/*completed=*/true);
       return;
     }
     if (!slot.is_node) {
       cv_.wait(lock, [&] { return slot.state == SlotState::kDone; });
       if (interrupted()) {
-        st->completed = false;
-        st->rtree_nodes_accessed = mode_ == Mode::kSpatialFirst
-                                       ? slot.rtree_nodes
-                                       : producer_rtree_nodes_;
+        stop_here(/*completed=*/false);
         return;
       }
       CommitCandidate(&slot, heap, st, trace);
@@ -492,20 +448,19 @@ void IntraQueryPipeline::CommitLoop(std::unique_lock<std::mutex>& lock,
   }
 }
 
-Status IntraQueryPipeline::Run(Mode mode, const KspQuery& query,
-                               const QueryExecutor::QueryContext& ctx,
-                               bool use_rule1, bool use_rule2,
-                               const Timer& total_timer, TopKHeap* heap,
-                               QueryStats* stats, double* semantic_seconds,
-                               QueryTrace* trace, CancellationToken* cancel,
+Status IntraQueryPipeline::Run(const QueryExecutor::PlaceScan& scan,
+                               QueryExecutor::QueryRun* run, TopKHeap* heap,
+                               CancellationToken* cancel,
                                uint64_t cache_epoch) {
+  QueryStats* stats = run->st;
+  QueryTrace* trace = run->trace;
   std::unique_lock<std::mutex> lock(mu_);
-  mode_ = mode;
-  query_ = &query;
-  ctx_ = &ctx;
-  use_rule1_ = use_rule1;
-  use_rule2_ = use_rule2;
-  total_timer_ = &total_timer;
+  alpha_ordered_ = scan.alpha_ordered;
+  query_ = run->ctx.query;
+  ctx_ = &run->ctx;
+  use_rule1_ = scan.use_rule1;
+  use_rule2_ = scan.use_rule2;
+  total_timer_ = &run->total_timer;
   run_cancel_ = cancel;
   tracing_ = trace != nullptr;
   produced_ = committed_ = claim_cursor_ = 0;
@@ -540,7 +495,7 @@ Status IntraQueryPipeline::Run(Mode mode, const KspQuery& query,
   ++generation_;
   cv_.notify_all();
 
-  CommitLoop(lock, total_timer, heap, stats, trace);
+  CommitLoop(lock, run->total_timer, heap, stats, trace);
 
   // Quiesce: in-flight speculation finishes, producer and workers park.
   stop_ = true;
@@ -566,7 +521,7 @@ Status IntraQueryPipeline::Run(Mode mode, const KspQuery& query,
       spec_bufferpool_misses_.load(std::memory_order_relaxed);
   stats->bufferpool_evictions +=
       spec_bufferpool_evictions_.load(std::memory_order_relaxed);
-  for (double seconds : worker_semantic_s_) *semantic_seconds += seconds;
+  for (double seconds : worker_semantic_s_) run->semantic_seconds += seconds;
   for (const auto& exec : worker_execs_) {
     if (run_status_.ok() && !exec->graph_cursor_.status.ok()) {
       run_status_ = exec->graph_cursor_.status;
@@ -580,26 +535,6 @@ Status IntraQueryPipeline::Run(Mode mode, const KspQuery& query,
   ctx_ = nullptr;
   total_timer_ = nullptr;
   return run_status_;
-}
-
-Status IntraQueryPipeline::RunSpatialFirst(
-    const KspQuery& query, const QueryExecutor::QueryContext& ctx,
-    bool use_rule1, bool use_rule2, const Timer& total_timer, TopKHeap* heap,
-    QueryStats* stats, double* semantic_seconds, QueryTrace* trace,
-    CancellationToken* cancel, uint64_t cache_epoch) {
-  return Run(Mode::kSpatialFirst, query, ctx, use_rule1, use_rule2,
-             total_timer, heap, stats, semantic_seconds, trace, cancel,
-             cache_epoch);
-}
-
-Status IntraQueryPipeline::RunAlphaOrdered(
-    const KspQuery& query, const QueryExecutor::QueryContext& ctx,
-    bool use_rule1, bool use_rule2, const Timer& total_timer, TopKHeap* heap,
-    QueryStats* stats, double* semantic_seconds, QueryTrace* trace,
-    CancellationToken* cancel, uint64_t cache_epoch) {
-  return Run(Mode::kAlphaOrdered, query, ctx, use_rule1, use_rule2,
-             total_timer, heap, stats, semantic_seconds, trace, cancel,
-             cache_epoch);
 }
 
 }  // namespace ksp

@@ -21,8 +21,6 @@
 
 namespace ksp {
 
-class Timer;
-
 /// Intra-query parallel execution of the spatial-first (BSP/SPP) and
 /// α-bound-ordered (SP) loops — DESIGN.md §8.
 ///
@@ -50,7 +48,7 @@ class Timer;
 /// only wall/CPU time fields and speculative_wasted_tqsp may differ.
 ///
 /// Threads are created once and parked between runs on a generation
-/// counter; Run* returns only after producer and workers have parked
+/// counter; Run returns only after producer and workers have parked
 /// again, so the borrowed query context never escapes a run.
 class IntraQueryPipeline {
  public:
@@ -64,41 +62,32 @@ class IntraQueryPipeline {
     return static_cast<uint32_t>(worker_execs_.size());
   }
 
-  /// BSP/SPP: replaces the sequential loop of ExecuteSpatialFirst.
-  /// `heap` carries the (empty) top-k accumulator; `semantic_seconds`
-  /// accrues summed worker TQSP time (may exceed wall time); `trace`, if
-  /// non-null, receives producer/worker phase aggregates via
-  /// MergeAggregates. Returns non-OK when a disk-backend read failed on
-  /// the producer or any worker (results are then meaningless), or with
+  /// Replaces the sequential scan loop of ExecuteSpatialFirst (BSP/SPP)
+  /// or, with scan.alpha_ordered, of ExecuteSp (α pruning on, R-tree
+  /// non-empty): installs the run state, wakes the fleet, runs the
+  /// ordered commit on the calling thread and quiesces before it
+  /// returns. In SP's case node expansions — whose Rule-3/4 tests and
+  /// termination check need the exact θ — run on the producer behind a
+  /// barrier that waits for every emitted place to commit; place TQSPs
+  /// (the dominant cost) overlap across workers.
+  ///
+  /// Reads the query, its prepared context and the total timer from
+  /// `run`, accrues summed worker TQSP time (may exceed wall time) into
+  /// run->semantic_seconds and folds producer/worker phase aggregates
+  /// into run->trace, if any. `heap` carries the (empty) top-k
+  /// accumulator. Returns non-OK when a disk-backend read failed on the
+  /// producer or any worker (results are then meaningless), or with
   /// kCancelled/kDeadlineExceeded when `cancel` (optional; shared with
   /// every worker for the run) tripped — the ordered commit is the sole
   /// authority on that verdict, so a completed commit never turns into
   /// an interruption retroactively. `cache_epoch` is the driving
   /// executor's semantic-cache epoch snapshot, copied onto the workers
   /// so speculative inserts stay in the query's cache generation.
-  Status RunSpatialFirst(const KspQuery& query,
-                         const QueryExecutor::QueryContext& ctx,
-                         bool use_rule1, bool use_rule2,
-                         const Timer& total_timer, TopKHeap* heap,
-                         QueryStats* stats, double* semantic_seconds,
-                         QueryTrace* trace, CancellationToken* cancel,
-                         uint64_t cache_epoch);
-
-  /// SP: replaces the sequential loop of ExecuteSp (α pruning on, R-tree
-  /// non-empty). Node expansions — whose Rule-3/4 tests and termination
-  /// check need the exact θ — run on the producer behind a barrier that
-  /// waits for every emitted place to commit; place TQSPs (the dominant
-  /// cost) overlap across workers.
-  Status RunAlphaOrdered(const KspQuery& query,
-                         const QueryExecutor::QueryContext& ctx,
-                         bool use_rule1, bool use_rule2,
-                         const Timer& total_timer, TopKHeap* heap,
-                         QueryStats* stats, double* semantic_seconds,
-                         QueryTrace* trace, CancellationToken* cancel,
-                         uint64_t cache_epoch);
+  Status Run(const QueryExecutor::PlaceScan& scan,
+             QueryExecutor::QueryRun* run, TopKHeap* heap,
+             CancellationToken* cancel, uint64_t cache_epoch);
 
  private:
-  enum class Mode { kSpatialFirst, kAlphaOrdered };
   enum class SlotState : uint8_t { kProduced, kClaimed, kDone };
 
   /// Worker output for one speculated place.
@@ -128,15 +117,6 @@ class IntraQueryPipeline {
     SlotState state = SlotState::kDone;
     SpecResult result;
   };
-
-  /// Shared run protocol: installs the run state, wakes the fleet, runs
-  /// the ordered commit on the calling thread, quiesces, and folds
-  /// producer/worker side effects into `stats`/`semantic_seconds`/`trace`.
-  Status Run(Mode mode, const KspQuery& query,
-             const QueryExecutor::QueryContext& ctx, bool use_rule1,
-             bool use_rule2, const Timer& total_timer, TopKHeap* heap,
-             QueryStats* stats, double* semantic_seconds, QueryTrace* trace,
-             CancellationToken* cancel, uint64_t cache_epoch);
 
   void ProducerLoop();
   void WorkerLoop(size_t worker_index);
@@ -179,7 +159,7 @@ class IntraQueryPipeline {
 
   // ---- Per-run state (installed under mu_ before the generation bump,
   // immutable or mu_-guarded while the run is live) ----
-  Mode mode_ = Mode::kSpatialFirst;
+  bool alpha_ordered_ = false;
   const KspQuery* query_ = nullptr;
   const QueryExecutor::QueryContext* ctx_ = nullptr;
   bool use_rule1_ = false;

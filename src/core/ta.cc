@@ -28,20 +28,25 @@ constexpr uint16_t kUnknownDist = 0xFFFF;
 /// round).
 class TaSearch {
  public:
-  TaSearch(QueryExecutor* exec, const QueryExecutor::QueryContext& ctx,
-           QueryStats* stats)
+  /// Runs inside `run`, which BeginRun opened: its timer, stats, trace
+  /// and TQSP time accumulator are this search's.
+  TaSearch(QueryExecutor* exec, QueryExecutor::QueryRun* run)
       : exec_(exec),
+        run_(run),
         db_(exec->db()),
-        ctx_(ctx),
-        stats_(stats),
-        trace_(exec->active_trace()),
+        ctx_(run->ctx),
+        stats_(run->st),
+        trace_(run->trace),
         graph_(db_.graph_accessor()),
         n_(graph_.num_vertices()),
-        m_(ctx.terms.size()),
+        m_(ctx_.terms.size()),
         dist_(static_cast<size_t>(n_) * m_, kUnknownDist),
         found_count_(db_.kb().num_places(), 0),
         frontiers_(m_) {}
 
+  /// Both searches stop early on the time limit or a cancellation; an
+  /// interrupted search returns a partial answer, which FinishRun turns
+  /// into the interruption status.
   Result<KspResult> Run(const KspQuery& query);
 
   /// Location-free variant: the first k places off the looseness stream.
@@ -124,7 +129,7 @@ class TaSearch {
     while (true) {
       // Expansion rounds sweep whole keyword frontiers; poll between
       // them so a deadline lands within one round. A false return here
-      // looks like stream exhaustion to the caller — the caller's own
+      // looks like stream exhaustion to the caller — FinishRun's
       // interrupt check turns it into an error before any result ships.
       if (exec_->CheckInterrupt()) return false;
       const bool exhausted = FrontiersExhausted();
@@ -141,6 +146,7 @@ class TaSearch {
   }
 
   QueryExecutor* exec_;
+  QueryExecutor::QueryRun* run_;
   const KspDatabase& db_;
   const QueryExecutor::QueryContext& ctx_;
   QueryStats* stats_;
@@ -159,10 +165,7 @@ class TaSearch {
 };
 
 Result<KspResult> TaSearch::Run(const KspQuery& query) {
-  Timer total_timer;
-  total_timer.Start();
-  double semantic_seconds = 0.0;
-
+  double& semantic_seconds = run_->semantic_seconds;
   const KnowledgeBase& kb = db_.kb();
   const RankingFunction& ranking = db_.options().ranking;
   TopKHeap topk(query.k);
@@ -176,11 +179,7 @@ Result<KspResult> TaSearch::Run(const KspQuery& query) {
   double last_spatial = 0.0;
 
   while (!spatial_done || !loose_done) {
-    if (total_timer.ElapsedMillis() > db_.options().time_limit_ms) {
-      stats_->completed = false;
-      break;
-    }
-    if (exec_->CheckInterrupt()) break;
+    if (exec_->ScanStopped(run_)) break;
 
     // Pull from the looseness stream; random-access its spatial distance.
     if (!loose_done) {
@@ -259,16 +258,11 @@ Result<KspResult> TaSearch::Run(const KspQuery& query) {
 
   KSP_RETURN_NOT_OK(spatial.status());
   stats_->rtree_nodes_accessed = spatial.nodes_accessed();
-  if (!exec_->interrupt_status_.ok()) {
-    // Interrupted: stamp the partial timing and surface the error —
-    // the partial top-k is never presented as an answer.
-    stats_->semantic_ms = semantic_seconds * 1e3;
-    stats_->total_ms = total_timer.ElapsedMillis();
-    return exec_->interrupt_status_;
-  }
   KspResult result = std::move(topk).Finish();
-  // Materialize the TQSP trees of the final answers only.
+  // Materialize the TQSP trees of the final answers only. A deadline can
+  // also land here: FinishRun then discards the truncated trees.
   for (KspResultEntry& entry : result.entries) {
+    if (!exec_->interrupt_status_.ok()) break;
     {
       ScopedTimer semantic_timer(&semantic_seconds);
       TraceSpan span(trace_, TracePhase::kTqspCompute);
@@ -277,33 +271,18 @@ Result<KspResult> TaSearch::Run(const KspQuery& query) {
                          /*use_dynamic_bound=*/false, &entry.tree, nullptr);
     }
     KSP_RETURN_NOT_OK(exec_->graph_cursor_.status);
-    // A deadline can also land during tree materialization; a truncated
-    // tree must not ship inside a "complete" result.
-    if (!exec_->interrupt_status_.ok()) {
-      stats_->semantic_ms = semantic_seconds * 1e3;
-      stats_->total_ms = total_timer.ElapsedMillis();
-      return exec_->interrupt_status_;
-    }
   }
-  stats_->semantic_ms = semantic_seconds * 1e3;
-  stats_->total_ms = total_timer.ElapsedMillis();
   return result;
 }
 
 Result<KspResult> TaSearch::RunKeywordOnly(const KspQuery& query) {
-  Timer total_timer;
-  total_timer.Start();
-  double semantic_seconds = 0.0;
+  double& semantic_seconds = run_->semantic_seconds;
   const KnowledgeBase& kb = db_.kb();
 
   KspResult result;
   Candidate candidate{};
   while (result.entries.size() < query.k) {
-    if (total_timer.ElapsedMillis() > db_.options().time_limit_ms) {
-      stats_->completed = false;
-      break;
-    }
-    if (exec_->CheckInterrupt()) break;
+    if (exec_->ScanStopped(run_)) break;
     bool got;
     {
       ScopedTimer semantic_timer(&semantic_seconds);
@@ -330,79 +309,36 @@ Result<KspResult> TaSearch::RunKeywordOnly(const KspQuery& query) {
     KSP_RETURN_NOT_OK(exec_->graph_cursor_.status);
     result.entries.push_back(std::move(entry));
   }
-  stats_->semantic_ms = semantic_seconds * 1e3;
-  stats_->total_ms = total_timer.ElapsedMillis();
-  if (!exec_->interrupt_status_.ok()) return exec_->interrupt_status_;
   return result;
 }
 
 Result<KspResult> QueryExecutor::ExecuteKeywordOnly(const KspQuery& query,
                                                     QueryStats* stats) {
-  KSP_RETURN_NOT_OK(CheckPrepared());
-  QueryStats local_stats;
-  QueryStats* st = stats != nullptr ? stats : &local_stats;
-  *st = QueryStats();
-  QueryTrace* trace = BeginQuery();
-  graph_cursor_.ResetIo();
-
-  QueryContext ctx;
-  {
-    TraceSpan span(trace, TracePhase::kDocFetch);
-    KSP_RETURN_NOT_OK(PrepareContext(query, &ctx));
-    FoldIo(ctx.io, st);
+  QueryRun run(stats);
+  KSP_RETURN_NOT_OK(BeginRun(query, /*scan=*/nullptr, &run));
+  KspResult result;
+  if (run.ctx.answerable && !run.ctx.terms.empty()) {
+    TaSearch search(this, &run);
+    KSP_ASSIGN_OR_RETURN(result, search.RunKeywordOnly(query));
   }
-  if (!ctx.answerable || ctx.terms.empty()) {
-    RecordQueryMetrics(*st);
-    return KspResult{};
-  }
-
-  TaSearch search(this, ctx, st);
-  auto result = search.RunKeywordOnly(query);
-  if (!result.ok() && result.status().IsInterruption()) {
-    st->completed = false;
-    if (metrics_.cancellations != nullptr) {
-      metrics_.cancellations->Increment();
-    }
-  }
-  RecordQueryMetrics(*st);
-  return result;
+  return FinishRun(&run, std::move(result));
 }
 
 Result<KspResult> QueryExecutor::ExecuteTa(const KspQuery& query,
                                            QueryStats* stats) {
-  KSP_RETURN_NOT_OK(CheckPrepared());
-  QueryStats local_stats;
-  QueryStats* st = stats != nullptr ? stats : &local_stats;
-  *st = QueryStats();
   if (query.keywords.empty()) {
     // No keywords: TA's looseness stream is degenerate; fall back to
     // the spatial-first algorithm (every place qualifies with L = 1).
-    return ExecuteSpatialFirst(query, st, false, false);
+    return ExecuteSpatialFirst(query, stats, false, false);
   }
-  QueryTrace* trace = BeginQuery();
-  graph_cursor_.ResetIo();
-
-  QueryContext ctx;
-  {
-    TraceSpan span(trace, TracePhase::kDocFetch);
-    KSP_RETURN_NOT_OK(PrepareContext(query, &ctx));
-    FoldIo(ctx.io, st);
+  QueryRun run(stats);
+  KSP_RETURN_NOT_OK(BeginRun(query, /*scan=*/nullptr, &run));
+  KspResult result;
+  if (run.ctx.answerable) {
+    TaSearch search(this, &run);
+    KSP_ASSIGN_OR_RETURN(result, search.Run(query));
   }
-  if (!ctx.answerable) {
-    RecordQueryMetrics(*st);
-    return KspResult{};
-  }
-
-  TaSearch search(this, ctx, st);
-  auto result = search.Run(query);
-  if (!result.ok() && result.status().IsInterruption()) {
-    st->completed = false;
-    if (metrics_.cancellations != nullptr) {
-      metrics_.cancellations->Increment();
-    }
-  }
-  RecordQueryMetrics(*st);
-  return result;
+  return FinishRun(&run, std::move(result));
 }
 
 }  // namespace ksp

@@ -472,16 +472,12 @@ Result<RTree> RTree::Load(const std::string& path, FileSystem* fs) {
 }
 
 NearestIterator::NearestIterator(const RTree* tree, const Point& query)
-    : owned_accessor_(std::make_unique<MemorySpatialAccessor>(tree)),
-      accessor_(owned_accessor_.get()),
-      query_(query) {
-  if (!accessor_->empty()) {
-    uint32_t root = accessor_->root();
-    Rect rect = Rect::Empty();
-    status_ = accessor_->NodeRect(root, &cursor_, &rect);
-    if (!status_.ok()) return;
-    Push(HeapItem{MinDist(query_, rect), /*is_node=*/true, root, rect});
-  }
+    : NearestIterator(std::make_unique<MemorySpatialAccessor>(tree), query) {}
+
+NearestIterator::NearestIterator(std::unique_ptr<MemorySpatialAccessor> owned,
+                                 const Point& query)
+    : NearestIterator(owned.get(), query) {
+  owned_accessor_ = std::move(owned);
 }
 
 NearestIterator::NearestIterator(const SpatialAccessor* accessor,
@@ -535,20 +531,6 @@ bool NearestIterator::NextData(Item* out) {
     if (!out->is_node) return true;
   }
   return false;
-}
-
-size_t BatchedNearestIterator::NextBatch(size_t max_items,
-                                         std::vector<BatchItem>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t appended = 0;
-  BatchItem batch_item;
-  while (appended < max_items && iterator_.Next(&batch_item.item)) {
-    batch_item.seq = next_seq_++;
-    batch_item.nodes_accessed = iterator_.nodes_accessed();
-    out->push_back(batch_item);
-    ++appended;
-  }
-  return appended;
 }
 
 }  // namespace ksp

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -234,6 +233,7 @@ class NearestIterator {
     Rect rect;
   };
 
+  /// Traverses `tree` through an owned MemorySpatialAccessor.
   NearestIterator(const RTree* tree, const Point& query);
   /// Traverses through `accessor` (any backend); the accessor must
   /// outlive the iterator.
@@ -268,6 +268,10 @@ class NearestIterator {
     bool operator>(const HeapItem& o) const { return distance > o.distance; }
   };
 
+  /// Adopts `owned` as the accessor of the (tree, query) constructor.
+  NearestIterator(std::unique_ptr<MemorySpatialAccessor> owned,
+                  const Point& query);
+
   /// Owns the implicit accessor of the (tree, query) constructor;
   /// heap-allocated so moving the iterator keeps accessor_ valid.
   std::unique_ptr<MemorySpatialAccessor> owned_accessor_;
@@ -280,57 +284,6 @@ class NearestIterator {
 
   void Push(const HeapItem& item);
   bool Pop(HeapItem* out);
-};
-
-/// Thread-safe batched front-end over NearestIterator: NextBatch() hands
-/// out contiguous runs of the incremental-NN stream under a mutex, so a
-/// pipeline producer can drain the stream in amortized-lock batches (and
-/// several consumers may share one stream — each batch is a contiguous,
-/// globally ordered run; interleaving across consumers partitions the
-/// stream without reordering it). Every item carries its global stream
-/// sequence number and the iterator's nodes-accessed count *after* the
-/// item was popped, which is exactly the paper's "R-tree nodes accessed"
-/// value had a sequential scan stopped on that item — the intra-query
-/// ordered-commit stage replays termination from these snapshots.
-class BatchedNearestIterator {
- public:
-  struct BatchItem {
-    NearestIterator::Item item;
-    /// 0-based position in the global NN stream.
-    uint64_t seq = 0;
-    /// NearestIterator::nodes_accessed() right after this item popped.
-    uint64_t nodes_accessed = 0;
-  };
-
-  BatchedNearestIterator(const RTree* tree, const Point& query)
-      : iterator_(tree, query) {}
-  BatchedNearestIterator(const SpatialAccessor* accessor, const Point& query)
-      : iterator_(accessor, query) {}
-
-  /// Appends up to `max_items` next stream items to `*out` (which is not
-  /// cleared). Returns the number appended; 0 means the stream is
-  /// exhausted (check status()).
-  size_t NextBatch(size_t max_items, std::vector<BatchItem>* out);
-
-  uint64_t nodes_accessed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return iterator_.nodes_accessed();
-  }
-
-  Status status() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return iterator_.status();
-  }
-
-  PageIoCounters io() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return iterator_.io();
-  }
-
- private:
-  mutable std::mutex mu_;
-  NearestIterator iterator_;
-  uint64_t next_seq_ = 0;
 };
 
 }  // namespace ksp

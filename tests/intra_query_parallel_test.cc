@@ -217,31 +217,5 @@ TEST_F(IntraQueryParallelTest, ExplainStaysSequentialUnderParallelism) {
   EXPECT_FALSE(report->termination.empty());
 }
 
-TEST_F(IntraQueryParallelTest, ExecutionOptionsPlumbThroughBatchApi) {
-  BatchRunOptions options;
-  options.algorithm = KspAlgorithm::kSpp;
-  options.num_threads = 2;
-  options.execution.intra_query_threads = 2;
-  std::vector<KspQuery> batch(queries_->begin(), queries_->begin() + 20);
-  auto parallel = RunQueryBatch(*db_, batch, options, nullptr);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  BatchRunOptions sequential_options;
-  sequential_options.algorithm = KspAlgorithm::kSpp;
-  auto sequential = RunQueryBatch(*db_, batch, sequential_options, nullptr);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_EQ(parallel->size(), sequential->size());
-  for (size_t i = 0; i < parallel->size(); ++i) {
-    ASSERT_EQ((*parallel)[i].entries.size(),
-              (*sequential)[i].entries.size());
-    for (size_t e = 0; e < (*parallel)[i].entries.size(); ++e) {
-      EXPECT_EQ((*parallel)[i].entries[e].place,
-                (*sequential)[i].entries[e].place);
-      EXPECT_EQ((*parallel)[i].entries[e].score,
-                (*sequential)[i].entries[e].score);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace ksp

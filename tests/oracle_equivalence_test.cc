@@ -205,5 +205,153 @@ TEST_F(OracleEquivalenceTest, SpMatchesOracle) {
   CheckAlgorithm(&QueryExecutor::ExecuteSp, "SP");
 }
 
+// EXPLAIN rows are the per-candidate account of the run the counters sum
+// up: each pruning rule leaves one row per prune, every TQSP
+// construction leaves exactly one row (computed, in_topk, unqualified or
+// Rule-2), the in_topk rows are the answer, and the answer is the plain
+// Execute* answer. EXPLAIN bypasses both cache layers, so a database with
+// an unlimited cache warmed by one pass must give identical rows.
+TEST_F(OracleEquivalenceTest, ExplainRowsMatchCounters) {
+  struct Algorithm {
+    const char* name;
+    KspAlgorithm algorithm;
+    Execute execute;
+  };
+  const Algorithm algorithms[] = {
+      {"BSP", KspAlgorithm::kBsp, &QueryExecutor::ExecuteBsp},
+      {"SPP", KspAlgorithm::kSpp, &QueryExecutor::ExecuteSpp},
+      {"SP", KspAlgorithm::kSp, &QueryExecutor::ExecuteSp},
+  };
+  constexpr uint32_t kKs[] = {1, 5, 10};
+  constexpr size_t kOutcomes = 7;
+  uint64_t totals[kOutcomes] = {};
+
+  auto check_tree = [&](const RTreeOptions& rtree_options) {
+    KspOptions options;
+    options.rtree_options = rtree_options;
+    KspDatabase db(kb_, options);
+    db.PrepareAll(/*alpha=*/3);
+    options.cache_budget_bytes = kCacheUnlimited;
+    KspDatabase cached_db(kb_, options);
+    cached_db.PrepareAll(/*alpha=*/3);
+    QueryExecutor executor(&db);
+    QueryExecutor cached_executor(&cached_db);
+    for (KspQuery query : *queries_) {
+      for (uint32_t k : kKs) {
+        query.k = k;
+        for (const Algorithm& algo : algorithms) {
+          ASSERT_TRUE((cached_executor.*algo.execute)(query, nullptr).ok());
+        }
+      }
+    }
+    ASSERT_GT(cached_db.semantic_cache()->TotalBytes(), 0u);
+
+    for (size_t qi = 0; qi < queries_->size(); ++qi) {
+      KspQuery query = (*queries_)[qi];
+      for (uint32_t k : kKs) {
+        query.k = k;
+        for (const Algorithm& algo : algorithms) {
+          SCOPED_TRACE(::testing::Message()
+                       << algo.name << " query " << qi << " k=" << k
+                       << " fan-out " << rtree_options.max_entries);
+          QueryStats plain_stats;
+          auto plain = (executor.*algo.execute)(query, &plain_stats);
+          ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+          auto report = executor.Explain(query, algo.algorithm);
+          ASSERT_TRUE(report.ok()) << report.status().ToString();
+          const QueryStats& st = report->stats;
+          ASSERT_TRUE(st.completed);
+
+          uint64_t rows[kOutcomes] = {};
+          for (const ExplainCandidate& c : report->candidates) {
+            ++rows[static_cast<size_t>(c.outcome)];
+            ++totals[static_cast<size_t>(c.outcome)];
+          }
+          auto count = [&](CandidateOutcome outcome) {
+            return rows[static_cast<size_t>(outcome)];
+          };
+          EXPECT_EQ(count(CandidateOutcome::kPrunedRule1),
+                    st.pruned_unqualified);
+          EXPECT_EQ(count(CandidateOutcome::kPrunedRule2),
+                    st.pruned_dynamic_bound);
+          EXPECT_EQ(count(CandidateOutcome::kPrunedRule3),
+                    st.pruned_alpha_place);
+          EXPECT_EQ(count(CandidateOutcome::kPrunedRule4),
+                    st.pruned_alpha_node);
+          EXPECT_EQ(count(CandidateOutcome::kComputed) +
+                        count(CandidateOutcome::kInTopK) +
+                        count(CandidateOutcome::kUnqualified) +
+                        count(CandidateOutcome::kPrunedRule2),
+                    st.tqsp_computations);
+          EXPECT_EQ(count(CandidateOutcome::kInTopK),
+                    report->result.entries.size());
+
+          // The same search as the plain run: same counters, same answer.
+          EXPECT_EQ(st.tqsp_computations, plain_stats.tqsp_computations);
+          EXPECT_EQ(st.vertices_visited, plain_stats.vertices_visited);
+          EXPECT_EQ(st.rtree_nodes_accessed,
+                    plain_stats.rtree_nodes_accessed);
+          EXPECT_EQ(st.pruned_unqualified, plain_stats.pruned_unqualified);
+          EXPECT_EQ(st.pruned_dynamic_bound,
+                    plain_stats.pruned_dynamic_bound);
+          EXPECT_EQ(st.pruned_alpha_place, plain_stats.pruned_alpha_place);
+          EXPECT_EQ(st.pruned_alpha_node, plain_stats.pruned_alpha_node);
+          ASSERT_EQ(report->result.entries.size(), plain->entries.size());
+          for (size_t i = 0; i < plain->entries.size(); ++i) {
+            EXPECT_EQ(report->result.entries[i].place,
+                      plain->entries[i].place);
+            EXPECT_EQ(report->result.entries[i].score,
+                      plain->entries[i].score);
+            EXPECT_EQ(report->result.entries[i].looseness,
+                      plain->entries[i].looseness);
+          }
+
+          auto cached = cached_executor.Explain(query, algo.algorithm);
+          ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+          EXPECT_EQ(cached->stats.result_cache_hits, 0u);
+          EXPECT_EQ(cached->stats.dg_cache_hits, 0u);
+          EXPECT_EQ(cached->termination, report->termination);
+          ASSERT_EQ(cached->candidates.size(), report->candidates.size());
+          for (size_t i = 0; i < report->candidates.size(); ++i) {
+            const ExplainCandidate& want = report->candidates[i];
+            const ExplainCandidate& got = cached->candidates[i];
+            EXPECT_EQ(got.order, want.order) << "row " << i;
+            EXPECT_EQ(got.is_node, want.is_node) << "row " << i;
+            EXPECT_EQ(got.place, want.place) << "row " << i;
+            EXPECT_EQ(got.node_id, want.node_id) << "row " << i;
+            EXPECT_EQ(got.spatial_distance, want.spatial_distance)
+                << "row " << i;
+            EXPECT_EQ(got.threshold, want.threshold) << "row " << i;
+            EXPECT_EQ(got.score_bound, want.score_bound) << "row " << i;
+            EXPECT_EQ(got.looseness, want.looseness) << "row " << i;
+            EXPECT_EQ(got.score, want.score) << "row " << i;
+            EXPECT_EQ(got.outcome, want.outcome) << "row " << i;
+          }
+        }
+      }
+    }
+  };
+
+  // With the default fan-out of 64 the tree over this KB is shallow and
+  // the corpus never fires Rules 3 or 4; a fan-out-4 tree is deep enough
+  // for SP to prune both kinds.
+  check_tree(RTreeOptions());
+  RTreeOptions deep;
+  deep.max_entries = 4;
+  deep.min_entries = 2;
+  check_tree(deep);
+
+  // The rows these checks count must occur. Every place of this KB
+  // reaches every corpus keyword, so Rule 1 (and BSP's unqualified
+  // outcome) never fires here; the Figure-1 Explain tests pin those rows.
+  for (CandidateOutcome outcome :
+       {CandidateOutcome::kInTopK, CandidateOutcome::kComputed,
+        CandidateOutcome::kPrunedRule2, CandidateOutcome::kPrunedRule3,
+        CandidateOutcome::kPrunedRule4}) {
+    EXPECT_GT(totals[static_cast<size_t>(outcome)], 0u)
+        << CandidateOutcomeName(outcome);
+  }
+}
+
 }  // namespace
 }  // namespace ksp
