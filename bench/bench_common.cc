@@ -26,7 +26,7 @@ double EnvDouble(const char* name, double fallback) {
 MetricsRegistry* g_metrics = nullptr;
 std::string g_metrics_out;
 /// Execution shape shared by every RunWorkload call in the process
-/// (intra_threads / warmup / repeat), set once by FromArgs.
+/// (warmup / repeat), set once by FromArgs.
 BenchEnv g_env;
 /// --json-out capture: bench id from argv[0], pre-rendered row objects.
 std::string g_json_out;
@@ -107,7 +107,6 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
     const char* arg = argv[i];
     constexpr const char kMetricsOut[] = "--metrics-out=";
     constexpr const char kJsonOut[] = "--json-out=";
-    constexpr const char kIntraThreads[] = "--intra-threads=";
     constexpr const char kWarmup[] = "--warmup=";
     constexpr const char kRepeat[] = "--repeat=";
     constexpr const char kCacheBudget[] = "--cache-budget=";
@@ -120,12 +119,6 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
     if (std::strncmp(arg, kJsonOut, sizeof(kJsonOut) - 1) == 0) {
       env.json_out = arg + sizeof(kJsonOut) - 1;
       KSP_CHECK(!env.json_out.empty()) << "--json-out requires a file path";
-      continue;
-    }
-    if (std::strncmp(arg, kIntraThreads, sizeof(kIntraThreads) - 1) == 0) {
-      env.intra_threads = static_cast<uint32_t>(
-          ParseCount(arg + sizeof(kIntraThreads) - 1, "--intra-threads"));
-      if (env.intra_threads == 0) env.intra_threads = 1;
       continue;
     }
     if (std::strncmp(arg, kWarmup, sizeof(kWarmup) - 1) == 0) {
@@ -166,7 +159,7 @@ BenchEnv BenchEnv::FromArgs(int argc, char** argv) {
     }
     KSP_CHECK(false) << "unknown flag: " << arg
                      << " (supported: --metrics-out=FILE --json-out=FILE "
-                        "--intra-threads=N --warmup=N --repeat=N "
+                        "--warmup=N --repeat=N "
                         "--cache-budget=BYTES|unlimited "
                         "--backend=memory|disk --bufferpool-budget=BYTES)";
   }
@@ -209,13 +202,13 @@ int Finish() {
     std::snprintf(buf, sizeof(buf),
                   "{\n  \"schema_version\": 1,\n  \"bench\": \"%s\",\n"
                   "  \"env\": {\"scale\": %g, \"queries\": %zu,"
-                  " \"time_limit_ms\": %g, \"intra_threads\": %u,"
+                  " \"time_limit_ms\": %g,"
                   " \"warmup\": %zu, \"repeat\": %zu,"
                   " \"cache_budget\": %llu, \"backend\": \"%s\","
                   " \"bufferpool_budget\": %llu, \"nproc\": %u,",
                   JsonEscape(g_bench_id.c_str()).c_str(), g_env.scale,
-                  g_env.queries, g_env.time_limit_ms, g_env.intra_threads,
-                  g_env.warmup, g_env.repeat,
+                  g_env.queries, g_env.time_limit_ms, g_env.warmup,
+                  g_env.repeat,
                   static_cast<unsigned long long>(g_env.cache_budget),
                   BackendName(g_env.backend),
                   static_cast<unsigned long long>(g_env.bufferpool_budget),
@@ -303,7 +296,6 @@ double WorkloadStats::PercentileWallUs(double q) const {
 WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
                           const std::vector<KspQuery>& queries, uint32_t k) {
   QueryExecutor executor(&db);
-  executor.set_intra_query_threads(g_env.intra_threads);
   if (g_metrics != nullptr) executor.set_metrics(g_metrics);
   // Phase breakdown needs the (cheap, aggregate-only) trace on the query
   // path; keep the path trace-free unless an output asked for it.
@@ -356,7 +348,6 @@ std::vector<KspResult> RunWorkloadCollect(
   std::vector<KspResult> results;
   results.reserve(queries.size());
   QueryExecutor executor(&db);
-  executor.set_intra_query_threads(g_env.intra_threads);
   if (g_metrics != nullptr) executor.set_metrics(g_metrics);
   for (const KspQuery& query : queries) {
     KspQuery q = query;
@@ -399,14 +390,11 @@ void AppendJsonRow(const char* config, Algo algo,
   std::snprintf(buf, sizeof(buf),
                 "}, \"counters\": {\"tqsp_computations\": %llu,"
                 " \"rtree_nodes_accessed\": %llu,"
-                " \"vertices_visited\": %llu,"
-                " \"speculative_wasted_tqsp\": %llu},",
+                " \"vertices_visited\": %llu},",
                 static_cast<unsigned long long>(stats.sum.tqsp_computations),
                 static_cast<unsigned long long>(
                     stats.sum.rtree_nodes_accessed),
-                static_cast<unsigned long long>(stats.sum.vertices_visited),
-                static_cast<unsigned long long>(
-                    stats.sum.speculative_wasted_tqsp));
+                static_cast<unsigned long long>(stats.sum.vertices_visited));
   row += buf;
   const auto rate = [](uint64_t hits, uint64_t misses) {
     const uint64_t total = hits + misses;

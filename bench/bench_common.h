@@ -27,8 +27,6 @@ namespace bench {
 ///                       (DESIGN.md §7) as JSON to FILE on exit
 ///   --json-out=FILE     write every PrintStatsRow row as a machine-readable
 ///                       JSON document (schema below) to FILE on exit
-///   --intra-threads=N   answer each query with N intra-query pipeline
-///                       threads (DESIGN.md §8); default 1 = sequential
 ///   --warmup=N          run each workload N untimed passes first
 ///   --repeat=N          run each workload N timed passes and report the
 ///                       median pass (by total wall time); default 1
@@ -48,7 +46,6 @@ struct BenchEnv {
   size_t queries = 25;
   double time_limit_ms = 2000.0;
   std::string metrics_out;  // empty: metrics collection off
-  uint32_t intra_threads = 1;
   size_t warmup = 0;
   size_t repeat = 1;
   size_t cache_budget = 0;  // KspOptions::cache_budget_bytes for benches
@@ -121,9 +118,8 @@ struct WorkloadStats {
 
 /// Runs `queries` through one algorithm on a fresh QueryExecutor, with
 /// `k` overriding each query's requested result size (pass 0 to keep the
-/// generated k). Honors the FromArgs execution flags: --intra-threads
-/// configures the executor's pipeline, --warmup adds untimed passes, and
-/// --repeat returns the median timed pass.
+/// generated k). Honors the FromArgs execution flags: --warmup adds
+/// untimed passes, and --repeat returns the median timed pass.
 WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
                           const std::vector<KspQuery>& queries, uint32_t k);
 
@@ -136,14 +132,13 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 /// Prints the standard per-row metrics line. With --json-out, the row is
 /// also captured for the JSON document Finish() writes:
 ///   {"schema_version": 1, "bench": "<argv0 basename>",
-///    "env": {scale, queries, time_limit_ms, intra_threads, warmup,
-///            repeat, cache_budget, backend, bufferpool_budget, nproc,
-///            host, git_sha},
+///    "env": {scale, queries, time_limit_ms, warmup, repeat,
+///            cache_budget, backend, bufferpool_budget, nproc, host,
+///            git_sha},
 ///    "rows": [{config, algo, queries, timed_out, mean_wall_us,
 ///              median_wall_us, p95_wall_us, phase_exclusive_us: {<phase>:
 ///              µs, ...}, counters: {tqsp_computations,
-///              rtree_nodes_accessed, vertices_visited,
-///              speculative_wasted_tqsp},
+///              rtree_nodes_accessed, vertices_visited},
 ///              cache: {dg_hits, dg_misses, dg_hit_rate, result_hits,
 ///                      result_misses, result_hit_rate, evictions},
 ///              backend: "memory"|"disk",
@@ -151,10 +146,11 @@ std::vector<KspResult> RunWorkloadCollect(const KspDatabase& db, Algo algo,
 ///              shard: {count, shards_visited, shards_pruned,
 ///                      prune_rate, build_s, alpha_bytes,
 ///                      alpha_postings}}]}
-/// The schema is stable: fields are only added, never renamed (cache_budget,
-/// the cache object, backend, the bufferpool object, the shard object,
-/// its build_s, alpha_bytes and alpha_postings, and the env's nproc,
-/// host and git_sha are additive; schema_version stays 1). nproc is
+/// Fields are never renamed (cache_budget, the cache object, backend,
+/// the bufferpool object, the shard object, its build_s, alpha_bytes and
+/// alpha_postings, and the env's nproc, host and git_sha were added; the
+/// env's pipeline thread count and the rows' wasted-speculation counter
+/// went with the intra-query pipeline; schema_version stays 1). nproc is
 /// std::thread::hardware_concurrency(); git_sha is the HEAD of the
 /// source tree the bench was built from, "" when that tree is not a git
 /// checkout. The

@@ -9,7 +9,7 @@
 #        micro_out.json (default BENCH_micro.json) receives the
 #        micro-component run below.
 # Env:   BUILD_DIR (default: build), KSP_SCALE, KSP_QUERIES,
-#        KSP_INTRA_THREADS, KSP_BENCH (default: bench_fig9_large_looseness)
+#        KSP_BENCH (default: bench_fig9_large_looseness)
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -25,7 +25,6 @@ fi
 KSP_SCALE="${KSP_SCALE:-0.1}" KSP_QUERIES="${KSP_QUERIES:-5}" \
   "${BUILD_DIR}/bench/${BENCH}" \
   --warmup=1 --repeat=3 \
-  --intra-threads="${KSP_INTRA_THREADS:-1}" \
   --json-out="${OUT}"
 
 # The artifact must parse and carry at least one row.

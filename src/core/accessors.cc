@@ -156,14 +156,9 @@ Status MemoryPostingsAccessor::Fetch(TermId term,
                                      std::vector<VertexId>* backing,
                                      std::span<const VertexId>* view,
                                      PageIoCounters* io) const {
+  (void)backing;
   (void)io;
-  if (auto span = index_->PostingsSpan(term); span.has_value()) {
-    *view = *span;
-    return Status::OK();
-  }
-  backing->clear();
-  KSP_RETURN_NOT_OK(index_->GetPostings(term, backing));
-  *view = {backing->data(), backing->size()};
+  *view = index_->Postings(term);
   return Status::OK();
 }
 

@@ -157,11 +157,10 @@ class PostingsAccessor {
                        PageIoCounters* io) const = 0;
 };
 
-/// Accessor over any InvertedIndex, zero-copy when the index offers
-/// PostingsSpan (memory index) and copying via GetPostings otherwise.
+/// Zero-copy accessor over the KB's memory-resident inverted index.
 class MemoryPostingsAccessor final : public PostingsAccessor {
  public:
-  explicit MemoryPostingsAccessor(const InvertedIndex* index)
+  explicit MemoryPostingsAccessor(const MemoryInvertedIndex* index)
       : index_(index) {}
 
   Status Fetch(TermId term, std::vector<VertexId>* backing,
@@ -169,7 +168,7 @@ class MemoryPostingsAccessor final : public PostingsAccessor {
                PageIoCounters* io) const override;
 
  private:
-  const InvertedIndex* index_;
+  const MemoryInvertedIndex* index_;
 };
 
 /// Posting decode through the shared buffer pool: the DiskInvertedIndex

@@ -26,9 +26,8 @@ struct AlphaQueueItem {
 
 /// SP's α-ordered candidate stream (Algorithm 4): R-tree entries pop in
 /// ascending f_B^α = f(L_B^α, MINDIST), and a node's children enter the
-/// queue only through the Rule-3/4 gate. The sequential SP loop
-/// (sp.cc) and the intra-query pipeline's producer (parallel_query.cc)
-/// both drain this one stream, so they see the same pop order.
+/// queue only through the Rule-3/4 gate. SP's scan loop (sp.cc) drains
+/// it.
 class AlphaStream {
  public:
   /// `terms` are the query's deduplicated keywords; every argument must

@@ -34,8 +34,6 @@ Result<KspResult> QueryExecutor::ExecuteSpatialFirst(const KspQuery& query,
   TopKHeap heap(query.k);
   if (!run.ctx.answerable) {
     ExplainTermination("unanswerable");
-  } else if (UsePipeline()) {
-    KSP_RETURN_NOT_OK(RunOnPipeline(scan, &run, &heap));
   } else {
     ExplainTermination("exhausted");
     const RankingFunction& ranking = db_->options().ranking;

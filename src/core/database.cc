@@ -139,13 +139,10 @@ KspDatabase::KspDatabase(const KnowledgeBase* kb, KspOptions options,
                          std::string rtree_spill_name)
     : kb_(kb),
       options_(std::move(options)),
-      inverted_(options_.inverted_index != nullptr
-                    ? options_.inverted_index
-                    : &kb->inverted_index()),
       store_(store),
       rtree_spill_name_(std::move(rtree_spill_name)),
       mem_graph_(&kb->graph()),
-      mem_postings_(inverted_) {
+      mem_postings_(&kb->inverted_index()) {
   KSP_CHECK(kb_ != nullptr);
   if (!options_.place_subset.empty()) {
     // Canonicalize the shard tile: sorted + deduplicated + in-range, so
@@ -238,10 +235,7 @@ Status KspDatabase::BuildDiskBackendState() {
         disk_->graph,
         DiskGraphAccessor::Open(out_path, in_path, &disk_->pool));
   }
-  // An externally supplied InvertedIndex (e.g. a caller-managed
-  // DiskInvertedIndex) cannot be re-serialized generically; it keeps
-  // serving through the memory accessor and does its own I/O.
-  if (disk_->postings == nullptr && inverted_ == &kb_->inverted_index()) {
+  if (disk_->postings == nullptr) {
     const std::string path = dir + "/postings.bin";
     KSP_RETURN_NOT_OK(DiskInvertedIndex::Write(kb_->inverted_index(), path));
     KSP_ASSIGN_OR_RETURN(disk_->postings,

@@ -18,7 +18,6 @@
 #include "spatial/paged_rtree.h"
 #include "spatial/rtree.h"
 #include "storage/shared_buffer_pool.h"
-#include "text/inverted_index.h"
 
 namespace ksp {
 
@@ -65,11 +64,6 @@ struct KspOptions {
   /// loading would drastically cut the cost).
   bool bulk_load_rtree = false;
   RTreeOptions rtree_options;
-
-  /// Inverted index over vertex documents used to build M_q.ψ. Defaults to
-  /// the KB's in-memory index; point it at a DiskInvertedIndex to mirror
-  /// the paper's disk-resident setting. Must outlive the database.
-  const InvertedIndex* inverted_index = nullptr;
 
   /// Byte budget of the cross-query semantic cache (DESIGN.md §9) shared
   /// by every executor of this database. 0 (the default) disables caching
@@ -225,7 +219,6 @@ class KspDatabase {
   /// The serving tier stamps this into responses so clients can tell
   /// which index generation answered across a hot swap.
   uint64_t index_generation() const { return index_generation_; }
-  const InvertedIndex& inverted_index() const { return *inverted_; }
 
   /// ---- Storage-backend seams (DESIGN.md §10) ----
   ///
@@ -339,7 +332,6 @@ class KspDatabase {
 
   const KnowledgeBase* kb_;
   KspOptions options_;
-  const InvertedIndex* inverted_;
   /// The sharded database's whole-KB store; null unless this is a shard.
   const KspDatabase* store_;
   /// File name of the paged R-tree inside the spill directory.

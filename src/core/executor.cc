@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "core/parallel_query.h"
 
 namespace ksp {
 
@@ -93,9 +92,6 @@ QueryExecutor::QueryExecutor(const KspDatabase* db) : db_(db) {
   internal_trace_.set_record_spans(false);
 }
 
-// Out of line: ~unique_ptr<IntraQueryPipeline> needs the complete type.
-QueryExecutor::~QueryExecutor() = default;
-
 void QueryExecutor::set_metrics(MetricsRegistry* registry) {
   metrics_ = MetricsHandles{};
   metrics_.registry = registry;
@@ -113,8 +109,6 @@ void QueryExecutor::set_metrics(MetricsRegistry* registry) {
     metrics_.pruned_rule[rule] = registry->GetCounter(
         "ksp_pruned_rule" + std::to_string(rule + 1) + "_total");
   }
-  metrics_.wasted_tqsp =
-      registry->GetCounter("ksp_speculative_wasted_tqsp_total");
   metrics_.cache_hits = registry->GetCounter("ksp_cache_hits_total");
   metrics_.cache_misses = registry->GetCounter("ksp_cache_misses_total");
   metrics_.cache_evictions =
@@ -152,7 +146,6 @@ void QueryExecutor::RecordQueryMetrics(const QueryStats& stats) {
   metrics_.pruned_rule[1]->Increment(stats.pruned_dynamic_bound);
   metrics_.pruned_rule[2]->Increment(stats.pruned_alpha_place);
   metrics_.pruned_rule[3]->Increment(stats.pruned_alpha_node);
-  metrics_.wasted_tqsp->Increment(stats.speculative_wasted_tqsp);
   metrics_.cache_hits->Increment(stats.dg_cache_hits +
                                  stats.result_cache_hits);
   metrics_.cache_misses->Increment(stats.dg_cache_misses +
@@ -259,9 +252,9 @@ Status QueryExecutor::PrepareContext(const KspQuery& query,
   }
 
   // Every id indexes the vertex arrays. A disk decode wraps mod 2^32 and
-  // an external InvertedIndex can return anything, so each list's
-  // maximum is checked (lists need not be sorted), all before the first
-  // bit is set: an error leaves nothing to clear.
+  // is not range-checked, so each list's maximum is checked (lists need
+  // not be sorted), all before the first bit is set: an error leaves
+  // nothing to clear.
   const VertexId num_vertices = db_->kb().num_vertices();
   for (size_t i = 0; i < m; ++i) {
     VertexId max_id = 0;
@@ -303,8 +296,7 @@ Status QueryExecutor::PrepareContext(const KspQuery& query,
 double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
                                   double looseness_threshold,
                                   bool use_dynamic_bound,
-                                  SemanticPlaceTree* tree, QueryStats* stats,
-                                  const TqspSpeculation* spec) {
+                                  SemanticPlaceTree* tree, QueryStats* stats) {
   const uint32_t num_keywords =
       static_cast<uint32_t>(std::popcount(ctx.full_mask));
   uint64_t remaining = ctx.full_mask;
@@ -338,8 +330,8 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
 
   // Per-pop body of the frontier loop below; false means stop (the flags
   // and `remaining` say why). `qi` is the global pop index in FIFO order
-  // (within a BFS level, discovery order); the cancellation cadence and
-  // the bound-log steps key on it.
+  // (within a BFS level, discovery order); the cancellation cadence keys
+  // on it.
   auto process_pop = [&](VertexId v, uint32_t dist, uint64_t qi) -> bool {
     // Cancellation poll every 64 pops: cheap enough to keep the BFS hot
     // loop tight, frequent enough that a deadline is enforced within one
@@ -352,28 +344,11 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
     ++pops;
 
     if (use_dynamic_bound) {
-      if (spec != nullptr && spec->live_theta != nullptr) {
-        // Speculative run: re-derive the Rule-2 threshold from the latest
-        // committed θ. θ only decreases over the commit sequence, so the
-        // threshold tightens monotonically and never drops below the exact
-        // commit-time value — a speculative abort implies the sequential
-        // run aborts too (the commit stage replays where).
-        const double live = spec->ranking->LoosenessThreshold(
-            spec->live_theta->load(std::memory_order_relaxed),
-            spec->spatial_distance);
-        if (live < looseness_threshold) looseness_threshold = live;
-      }
       // Lemma 1: every undiscovered keyword lies at distance >= dist.
       double lower_bound =
           1.0 + covered_sum +
           static_cast<double>(dist) *
               static_cast<double>(std::popcount(remaining));
-      if (spec != nullptr && spec->bound_log != nullptr) {
-        std::vector<TqspBoundStep>& log = *spec->bound_log;
-        if (log.empty() || lower_bound > log.back().bound) {
-          log.push_back(TqspBoundStep{qi, lower_bound});
-        }
-      }
       if (lower_bound >= looseness_threshold) {
         pruned = true;  // Pruning Rule 2.
         return false;
@@ -495,13 +470,13 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
   // Feed the shared dg cache (DESIGN.md §9). Every recorded match is the
   // exact minimal distance — BFS pops in non-decreasing distance and a
   // keyword is recorded at its first covering pop — even when Rule 2 (or
-  // a speculative live-θ abort, or a cancellation) stopped the search
-  // afterwards. An un-pruned, un-interrupted exhaustion additionally
-  // proves the uncovered keywords unreachable, which is cached as
-  // kUnreachable (a negative answer); a cancelled BFS must NOT record
-  // that negative — its frontier simply never got there. A page-read
-  // failure truncated the expansion: nothing this run recorded is
-  // trustworthy, and the query is about to fail anyway.
+  // a cancellation) stopped the search afterwards. An un-pruned,
+  // un-interrupted exhaustion additionally proves the uncovered keywords
+  // unreachable, which is cached as kUnreachable (a negative answer); a
+  // cancelled BFS must NOT record that negative — its frontier simply
+  // never got there. A page-read failure truncated the expansion:
+  // nothing this run recorded is trustworthy, and the query is about to
+  // fail anyway.
   if (SemanticQueryCache* cache = db_->semantic_cache();
       cache != nullptr && graph_cursor_.status.ok()) {
     size_t evicted = 0;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,36 +22,6 @@
 #include "core/trace.h"
 
 namespace ksp {
-
-class IntraQueryPipeline;
-
-/// One step of the monotone dynamic-bound trajectory recorded during a
-/// speculative TQSP construction (intra-query pipeline, DESIGN.md §8):
-/// from BFS pop `pop_index` onward the Lemma-1 lower bound equals
-/// `bound`, until the next step. The bound is evaluated exactly where the
-/// sequential Rule-2 abort check reads it (pop top, pre-coverage), so the
-/// ordered-commit stage can replay the trajectory against the exact
-/// commit-time threshold and reconstruct the abort pop — and hence the
-/// prune decision and visited-vertex count — the sequential algorithm
-/// would have produced.
-struct TqspBoundStep {
-  uint64_t pop_index = 0;
-  double bound = 0.0;
-};
-
-/// Speculation hooks threaded into ComputeTqsp by pipeline workers:
-/// `live_theta` is the shared atomic θ (k-th best committed score) the
-/// worker re-reads each pop to keep its speculative dynamic bound as
-/// tight as the commits so far allow — θ only decreases, so every
-/// re-derived threshold stays ≥ the exact commit-time threshold and a
-/// speculative abort implies a sequential abort. `bound_log` receives the
-/// TqspBoundStep trajectory for the commit-time replay.
-struct TqspSpeculation {
-  const std::atomic<double>* live_theta = nullptr;
-  const RankingFunction* ranking = nullptr;
-  double spatial_distance = 0.0;
-  std::vector<TqspBoundStep>* bound_log = nullptr;
-};
 
 /// Bounded top-k accumulator ordered by (score, place) with the threshold
 /// θ used by all algorithms' pruning rules.
@@ -171,8 +140,8 @@ class QueryExecutor {
   MetricsRegistry* metrics() const { return metrics_.registry; }
 
   /// Attaches a cancellation/deadline token polled cooperatively at phase
-  /// boundaries (per candidate place, every few dozen BFS pops, per
-  /// pipeline commit). When the token trips, the running Execute* unwinds
+  /// boundaries (per candidate place, every few dozen BFS pops). When the
+  /// token trips, the running Execute* unwinds
   /// promptly and returns Status::Cancelled / Status::DeadlineExceeded
   /// with the partial QueryStats stamped (stats.completed == false) —
   /// never a partial top-k presented as complete. Executor scratch stays
@@ -189,19 +158,6 @@ class QueryExecutor {
   /// wraparound path without 2^32 warm-up queries.
   void set_bfs_epoch_for_testing(uint16_t epoch) { epoch_ = epoch; }
 
-  /// Intra-query parallelism degree (DESIGN.md §8). With n >= 2, BSP, SPP
-  /// and SP run as a producer/worker/ordered-commit pipeline with n
-  /// speculative TQSP workers; results — the top-k, completion flag, and
-  /// every committed QueryStats prune/visit counter — are bit-identical
-  /// to the sequential path at every n. With n <= 1 (the default) the
-  /// sequential code runs untouched. Explain(), TA and keyword-only are
-  /// always sequential. The pipeline's threads are created lazily on the
-  /// first parallel query and live until the executor is destroyed.
-  void set_intra_query_threads(uint32_t n) {
-    intra_query_threads_ = n == 0 ? 1 : n;
-  }
-  uint32_t intra_query_threads() const { return intra_query_threads_; }
-
   /// Attaches a shared global θ (DESIGN.md §12): every θ read of the
   /// pruning rules and heap-admission checks becomes
   /// min(local heap θ, *theta). The atomic only ever decreases during a
@@ -211,19 +167,15 @@ class QueryExecutor {
   /// other. Side effects while attached: the result-cache layer is
   /// bypassed (a θ-truncated shard result must never be cached under a
   /// θ-free key; the dg layer stays on — distances are exact regardless
-  /// of θ) and the intra-query pipeline is disabled (its workers own the
-  /// atomic-θ plumbing). Pass nullptr to detach; the atomic must outlive
-  /// every Execute* that can observe it.
+  /// of θ). Pass nullptr to detach; the atomic must outlive every
+  /// Execute* that can observe it.
   void set_shared_theta(const std::atomic<double>* theta) {
     shared_theta_ = theta;
   }
   const std::atomic<double>* shared_theta() const { return shared_theta_; }
 
-  ~QueryExecutor();
-
  private:
   friend class TaSearch;
-  friend class IntraQueryPipeline;
 
   /// Per-query derived state: deduplicated keywords, their posting lists,
   /// and the vertex -> keyword-bitmask map M_q.ψ of §3.
@@ -254,9 +206,7 @@ class QueryExecutor {
     /// Page I/O of the posting fetches (disk backend; zero on memory).
     PageIoCounters io;
     /// The executor's keyword masks once PrepareContext has set this
-    /// query's bits; nullptr until then, and so nothing to clear. Only
-    /// read after PrepareContext, so pipeline workers share it like
-    /// every other QueryContext field.
+    /// query's bits; nullptr until then, and so nothing to clear.
     uint64_t* keyword_masks = nullptr;
 
     uint64_t MaskOf(VertexId v) const { return keyword_masks[v]; }
@@ -328,11 +278,6 @@ class QueryExecutor {
                     double spatial, double theta, double score_bound,
                     TopKHeap* heap);
 
-  /// Runs the scan on the intra-query pipeline instead of the sequential
-  /// loop. An interruption lands in interrupt_status_ for FinishRun; any
-  /// other error (a disk-backend read failure) is returned.
-  Status RunOnPipeline(const PlaceScan& scan, QueryRun* run, TopKHeap* heap);
-
   /// Shared loop of BSP and SPP: places in ascending spatial distance,
   /// optional Pruning Rules 1 and 2.
   Result<KspResult> ExecuteSpatialFirst(const KspQuery& query,
@@ -343,13 +288,9 @@ class QueryExecutor {
   /// L(T_p) or +inf (unqualified, or aborted by the dynamic bound when
   /// `looseness_threshold` < +inf and dynamic pruning is on). If `tree` is
   /// non-null, matches and root paths are materialized on success.
-  /// `spec` (pipeline workers only) supplies the live-θ re-read and the
-  /// bound-trajectory log; the sequential path passes nullptr and is
-  /// byte-for-byte unaffected.
   double ComputeTqsp(VertexId root, const QueryContext& ctx,
                      double looseness_threshold, bool use_dynamic_bound,
-                     SemanticPlaceTree* tree, QueryStats* stats,
-                     const TqspSpeculation* spec = nullptr);
+                     SemanticPlaceTree* tree, QueryStats* stats);
 
   /// Pruning Rule 1: true if some query keyword is unreachable from root.
   bool IsUnqualifiedPlace(VertexId root, const QueryContext& ctx,
@@ -408,7 +349,6 @@ class QueryExecutor {
     Counter* bfs_vertices = nullptr;
     Counter* reach_queries = nullptr;
     Counter* pruned_rule[4] = {};
-    Counter* wasted_tqsp = nullptr;
     Counter* cache_hits = nullptr;
     Counter* cache_misses = nullptr;
     Counter* cache_evictions = nullptr;
@@ -460,14 +400,6 @@ class QueryExecutor {
   }
   bool explain_on() const { return explain_ != nullptr; }
 
-  /// True when the next spatial-first / α-ordered query should run on the
-  /// intra-query pipeline (threads >= 2 and no EXPLAIN capture, which
-  /// needs the sequential candidate walk).
-  bool UsePipeline() const {
-    return intra_query_threads_ >= 2 && explain_ == nullptr &&
-           shared_theta_ == nullptr;
-  }
-
   /// θ as the pruning rules must see it: the local heap threshold,
   /// tightened by the shared global θ when one is attached (§12). Both
   /// only decrease within a query, so the min is monotone too.
@@ -502,8 +434,7 @@ class QueryExecutor {
   /// keyword_masks_[v] is set iff v's document holds the query's i-th
   /// distinct keyword, so the BFS reads a vertex's mask with one load.
   /// All zero between queries (see QueryContext). Sized to the vertex
-  /// count on the first PrepareContext, so pipeline workers, which never
-  /// prepare a context, allocate none.
+  /// count on the first PrepareContext.
   std::vector<uint64_t> keyword_masks_;
 
   /// TQSP per-candidate tree scratch (match records, path reversal).
@@ -526,8 +457,7 @@ class QueryExecutor {
 
   /// Semantic-cache epoch snapshot of the current query (BeginRun);
   /// tags every cache lookup/insert so an index reload mid-query can
-  /// never mix cached data across generations. The pipeline copies the
-  /// driving executor's snapshot onto its workers.
+  /// never mix cached data across generations.
   uint64_t cache_epoch_ = 0;
 
   /// Observability state. The internal trace is aggregate-only scratch
@@ -537,10 +467,6 @@ class QueryExecutor {
   MetricsHandles metrics_;
   ExplainReport* explain_ = nullptr;
   uint32_t explain_order_ = 0;
-
-  /// Intra-query parallelism (lazy; see set_intra_query_threads).
-  uint32_t intra_query_threads_ = 1;
-  std::unique_ptr<IntraQueryPipeline> pipeline_;
 
   /// Shared scatter-gather θ (see set_shared_theta); null = unsharded.
   const std::atomic<double>* shared_theta_ = nullptr;

@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "core/executor.h"
-#include "core/parallel_query.h"
 
 namespace ksp {
 
@@ -44,8 +43,8 @@ Status QueryExecutor::BeginRun(const KspQuery& query, const PlaceScan* scan,
   graph_cursor_.ResetIo();
 
   // Full-query result cache (DESIGN.md §9), keyed by candidate order,
-  // rules and α. EXPLAIN always executes the uncached sequential path — a
-  // cached answer has no candidate rows. Under a shared scatter-gather θ
+  // rules and α. EXPLAIN always executes the uncached path — a cached
+  // answer has no candidate rows. Under a shared scatter-gather θ
   // (§12) the result layer is bypassed both ways: the key has no θ
   // component, so a θ-truncated shard answer could neither be stored nor
   // served exactly. The per-keyword dg layer stays on — distances are
@@ -214,22 +213,6 @@ Status QueryExecutor::VisitPlace(QueryRun* run, const PlaceScan& scan,
   ExplainCandidateRow(row);
   entry.tree = std::move(tree);
   heap->Add(std::move(entry));
-  return Status::OK();
-}
-
-Status QueryExecutor::RunOnPipeline(const PlaceScan& scan, QueryRun* run,
-                                    TopKHeap* heap) {
-  // Threads are built on the first parallel query and rebuilt only when
-  // the degree changes.
-  if (pipeline_ == nullptr ||
-      pipeline_->num_workers() != intra_query_threads_) {
-    pipeline_ =
-        std::make_unique<IntraQueryPipeline>(db_, intra_query_threads_);
-  }
-  const Status status =
-      pipeline_->Run(scan, run, heap, cancel_, cache_epoch_);
-  if (status.ok() || !status.IsInterruption()) return status;
-  interrupt_status_ = status;
   return Status::OK();
 }
 

@@ -29,8 +29,6 @@ Result<KspResult> QueryExecutor::ExecuteSp(const KspQuery& query,
     ExplainTermination("unanswerable");
   } else if (rtree.empty()) {
     // No places: nothing to scan.
-  } else if (UsePipeline()) {
-    KSP_RETURN_NOT_OK(RunOnPipeline(scan, &run, &heap));
   } else {
     ExplainTermination("exhausted");
     AlphaStream stream(rtree, *db_->alpha_index(), options.ranking,

@@ -31,20 +31,13 @@ struct QueryStats {
   uint64_t pruned_alpha_place = 0;
   /// R-tree subtrees discarded by Pruning Rule 4 (α node bound).
   uint64_t pruned_alpha_node = 0;
-  /// TQSP constructions the intra-query pipeline ran speculatively that
-  /// the ordered commit then discarded (candidates past the exact
-  /// termination point): work the sequential algorithm never does.
-  /// Always 0 on the sequential path; excluded from the determinism
-  /// contract, which covers the committed counters above.
-  uint64_t speculative_wasted_tqsp = 0;
 
   /// Semantic-cache activity (DESIGN.md §9). The dg counters are
   /// per-candidate: a hit means every keyword distance came from cache
   /// and the TQSP BFS was skipped entirely; a miss means the BFS ran
   /// while the cache was enabled. All five are 0 when the cache is off
-  /// and, like speculative_wasted_tqsp, excluded from the sequential/
-  /// parallel determinism contract (they measure work avoided, which
-  /// depends on cache warmth).
+  /// and excluded from the determinism contract (they measure work
+  /// avoided, which depends on cache warmth).
   uint64_t dg_cache_hits = 0;
   uint64_t dg_cache_misses = 0;
   uint64_t result_cache_hits = 0;
@@ -95,7 +88,6 @@ struct QueryStats {
     pruned_dynamic_bound += other.pruned_dynamic_bound;
     pruned_alpha_place += other.pruned_alpha_place;
     pruned_alpha_node += other.pruned_alpha_node;
-    speculative_wasted_tqsp += other.speculative_wasted_tqsp;
     dg_cache_hits += other.dg_cache_hits;
     dg_cache_misses += other.dg_cache_misses;
     result_cache_hits += other.result_cache_hits;

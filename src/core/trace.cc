@@ -71,15 +71,6 @@ void QueryTrace::EndSpan(TracePhase phase, uint64_t items) {
   }
 }
 
-void QueryTrace::MergeAggregates(const QueryTrace& other) {
-  for (size_t p = 0; p < kNumTracePhases; ++p) {
-    inclusive_us_[p] += other.inclusive_us_[p];
-    exclusive_us_[p] += other.exclusive_us_[p];
-    count_[p] += other.count_[p];
-    items_[p] += other.items_[p];
-  }
-}
-
 void QueryTrace::AddChildTime(TracePhase phase, int64_t us,
                               uint64_t items) {
   if (us == 0 && items == 0) return;

@@ -99,14 +99,6 @@ class QueryTrace {
   /// the I/O is still open. No-op when `us` and `items` are both 0.
   void AddChildTime(TracePhase phase, int64_t us, uint64_t items);
 
-  /// Folds another trace's per-phase aggregates (inclusive/exclusive
-  /// time, counts, items) into this one without touching the span list.
-  /// Used by the intra-query pipeline to merge producer/worker traces —
-  /// which ran on other threads — into the query's main trace; the merged
-  /// exclusive totals then measure summed CPU work, which may exceed the
-  /// query's wall time.
-  void MergeAggregates(const QueryTrace& other);
-
   /// JSON: {"spans": [{"phase", "start_us", "duration_us", "depth",
   /// "items"}], "phase_totals_us": {...}} with spans in start order.
   std::string ToJson() const;

@@ -163,6 +163,11 @@ std::shared_ptr<KspServer::ServingState> KspServer::CurrentState() const {
 }
 
 Status KspServer::Start() {
+  // Only workers answer admitted requests and check their deadlines:
+  // without one, the first query would wait forever, and so would Stop.
+  if (options_.num_workers == 0) {
+    return Status::InvalidArgument("server needs at least one worker");
+  }
   if (started_.exchange(true)) {
     return Status::InvalidArgument("server already started");
   }
@@ -405,7 +410,6 @@ void KspServer::WorkerLoop() {
       } else {
         executor = std::make_unique<QueryExecutor>(state->db.get());
         executor->set_metrics(&registry_);
-        executor->set_intra_query_threads(options_.intra_query_threads);
       }
       cached_state = state;
     }

@@ -32,7 +32,7 @@ struct ServerOptions {
   uint16_t port = 0;
 
   /// Query worker threads, each owning one QueryExecutor per serving
-  /// generation (rebuilt lazily after a hot swap).
+  /// generation (rebuilt lazily after a hot swap). Start refuses 0.
   size_t num_workers = 4;
   /// Admission queue bound; a full queue answers kUnavailable immediately.
   size_t queue_capacity = 64;
@@ -45,9 +45,6 @@ struct ServerOptions {
   uint32_t max_frame_bytes = 1 << 20;
   /// Fast-reject bound on per-query keywords (TQSP masks hold 64).
   uint32_t max_keywords = 64;
-
-  /// Intra-query parallelism applied to every worker executor.
-  uint32_t intra_query_threads = 1;
 };
 
 /// Deadline-aware network front-end over the kSP engine (DESIGN.md §11).
@@ -67,8 +64,8 @@ struct ServerOptions {
 /// that answered.
 class KspServer {
  public:
-  /// `kb` (and `db_options.inverted_index`, if set) must outlive the
-  /// server; every serving database is built over this one KB.
+  /// `kb` must outlive the server; every serving database is built over
+  /// this one KB.
   KspServer(const KnowledgeBase* kb, KspOptions db_options,
             ServerOptions options);
   ~KspServer();
@@ -99,7 +96,7 @@ class KspServer {
 
   /// Binds, listens, and starts the acceptor + worker threads. A server
   /// with no database yet answers queries kUnavailable until one is
-  /// installed.
+  /// installed. InvalidArgument when options.num_workers is 0.
   Status Start();
 
   /// Drains and joins everything. Queued requests are answered

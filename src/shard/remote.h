@@ -2,6 +2,7 @@
 #define KSP_SHARD_REMOTE_H_
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,10 +18,7 @@ namespace ksp {
 
 /// The shard boundary of DESIGN.md §12: a narrow request/response message
 /// pair plus a transport interface. The scatter-gather executor speaks
-/// ONLY this vocabulary to its shards, so moving a shard out of process
-/// is a transport swap — implement ShardChannel over a socket using the
-/// src/service frame convention (fixed32 length prefix + the payloads
-/// encoded below) and nothing above this seam changes.
+/// ONLY this vocabulary to its shards. The one transport is in-process.
 
 /// One shard's slice of a scatter-gather query. Keywords travel as
 /// strings and are resolved against the vocabulary of whichever index
@@ -33,13 +31,13 @@ struct ShardQueryRequest {
   std::vector<std::string> keywords;
   uint32_t k = 1;
   /// Global θ at dispatch time (+inf before the merge heap fills). A
-  /// remote shard can only prune against this snapshot; the in-process
-  /// transport additionally re-reads the live θ (see ShardChannel).
+  /// transport that cannot share memory prunes against this snapshot;
+  /// the in-process one re-reads the live θ instead (see ShardChannel).
   double theta_seed = std::numeric_limits<double>::infinity();
 };
 
 /// A shard's answer: its local top-k (full result entries, trees
-/// included, bit-exact doubles) plus the stats of the shard-local run.
+/// included) plus the stats of the shard-local run.
 struct ShardQueryResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
@@ -49,21 +47,6 @@ struct ShardQueryResponse {
   QueryStats stats;
 };
 
-/// ---- Wire codec (payloads; transports add their own frame header) ----
-///
-/// Varint ints, length-prefixed strings, fixed64 IEEE-754 doubles —
-/// decode(encode(x)) == x bit-for-bit, which the loopback channel (and
-/// its test) pin. Decode never trusts a length before bounds-checking it.
-
-void EncodeShardQueryRequest(const ShardQueryRequest& request,
-                             std::string* payload);
-Status DecodeShardQueryRequest(std::string_view payload,
-                               ShardQueryRequest* request);
-void EncodeShardQueryResponse(const ShardQueryResponse& response,
-                              std::string* payload);
-Status DecodeShardQueryResponse(std::string_view payload,
-                                ShardQueryResponse* response);
-
 /// Transport seam: one channel per shard. Query() is synchronous and a
 /// channel serves one in-flight query at a time (the scatter-gather
 /// executor owns its channels; give each thread its own executor, as
@@ -72,19 +55,20 @@ class ShardChannel {
  public:
   virtual ~ShardChannel() = default;
 
-  /// `live_theta`, when non-null, is the scatter-gather merge's shared
-  /// atomic θ; a co-located shard reads it throughout execution (the PR 4
-  /// plumbing) for tighter pruning. Transports that cannot share memory
-  /// pass the request's theta_seed instead — both are ≥ the final global
-  /// θ at all times, so either choice is exact and only prune counts
-  /// differ.
+  /// `live_theta` is the scatter-gather merge's shared atomic θ, which
+  /// ShardedExecutor always passes; a co-located shard reads it
+  /// throughout execution for tighter pruning. A transport that cannot
+  /// share memory would prune against the request's theta_seed instead —
+  /// both are ≥ the final global θ at all times, so either choice is
+  /// exact and only prune counts differ.
   virtual Status Query(const ShardQueryRequest& request,
                        const std::atomic<double>* live_theta,
                        ShardQueryResponse* response) = 0;
 };
 
 /// Shard = thread: executes against a shard KspDatabase in this process,
-/// reading the live shared θ.
+/// reading the live shared θ (a null `live_theta` prunes against the
+/// shard's local top-k alone).
 class InProcessShardChannel : public ShardChannel {
  public:
   explicit InProcessShardChannel(const KspDatabase* db);
@@ -96,30 +80,10 @@ class InProcessShardChannel : public ShardChannel {
  private:
   const KspDatabase* db_;
   QueryExecutor executor_;
-  std::atomic<double> seed_theta_;
-};
-
-/// In-process channel that round-trips both messages through the wire
-/// codec and drops the live-θ shortcut — exactly what a remote shard
-/// would see. Exists to prove, in the equivalence suite, that the codec
-/// loses nothing: scatter-gather over loopback channels returns the
-/// byte-identical top-k.
-class LoopbackShardChannel : public ShardChannel {
- public:
-  explicit LoopbackShardChannel(const KspDatabase* db) : inner_(db) {}
-
-  Status Query(const ShardQueryRequest& request,
-               const std::atomic<double>* live_theta,
-               ShardQueryResponse* response) override;
-
- private:
-  InProcessShardChannel inner_;
 };
 
 /// One channel per shard slot of `db` (nullptr for empty tiles).
 std::vector<std::unique_ptr<ShardChannel>> MakeInProcessChannels(
-    const ShardedKspDatabase& db);
-std::vector<std::unique_ptr<ShardChannel>> MakeLoopbackChannels(
     const ShardedKspDatabase& db);
 
 }  // namespace ksp

@@ -106,8 +106,8 @@ Result<KspResult> ShardedExecutor::ExecuteScatterGather(
   const RankingFunction& ranking = db_->options().ranking;
   TopKHeap heap(k);
   // The shared global θ of §12: seeded from the (empty) merge heap,
-  // re-published after every shard merge; co-located shards re-read it
-  // live, remote ones get the dispatch-time snapshot.
+  // re-published after every shard merge; every channel gets it live
+  // and its dispatch-time snapshot as the request's theta_seed.
   std::atomic<double> theta{heap.Threshold()};
 
   ShardQueryRequest request;

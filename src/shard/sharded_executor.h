@@ -42,8 +42,8 @@ class ShardedExecutor {
  public:
   /// In-process execution (shard = thread-local subquery).
   explicit ShardedExecutor(const ShardedKspDatabase* db);
-  /// Custom transports: one channel per shard slot, null for empty
-  /// tiles (see MakeInProcessChannels / MakeLoopbackChannels).
+  /// Custom channels (e.g. an instrumented in-process one): one per
+  /// shard slot, null for empty tiles (see MakeInProcessChannels).
   ShardedExecutor(const ShardedKspDatabase* db,
                   std::vector<std::unique_ptr<ShardChannel>> channels);
 

@@ -2,7 +2,6 @@
 #define KSP_TEXT_INVERTED_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,36 +16,28 @@ namespace ksp {
 
 struct ArtifactInfo;
 
-/// Term -> sorted vertex posting list. The paper keeps this index
-/// disk-resident (only the query keywords' lists are loaded per query);
-/// both a memory- and a disk-resident implementation are provided behind
-/// this interface.
-class InvertedIndex {
+/// Term -> sorted vertex posting list, heap-resident, built directly from
+/// a DocumentStore. The paper keeps this index disk-resident (only the
+/// query keywords' lists are loaded per query); DiskInvertedIndex below
+/// is that form, which the kDisk backend reads through its buffer pool.
+class MemoryInvertedIndex {
  public:
-  virtual ~InvertedIndex() = default;
+  /// Builds postings for all terms in [0, num_terms).
+  static MemoryInvertedIndex Build(const DocumentStore& docs,
+                                   TermId num_terms);
 
   /// Appends the (sorted ascending) posting list of `term` to `*out`.
   /// Unknown terms yield an empty list and OK status.
-  virtual Status GetPostings(TermId term, std::vector<VertexId>* out) const = 0;
-
-  /// Zero-copy view of `term`'s posting list when the implementation
-  /// keeps it memory-resident (valid for the index's lifetime); nullopt
-  /// when the caller must materialize a copy via GetPostings (disk
-  /// index). Unknown terms yield an empty span, not nullopt.
-  virtual std::optional<std::span<const VertexId>> PostingsSpan(
-      TermId term) const {
-    (void)term;
-    return std::nullopt;
-  }
+  Status GetPostings(TermId term, std::vector<VertexId>* out) const;
 
   /// Number of distinct terms with at least one posting.
-  virtual uint64_t NumTerms() const = 0;
+  uint64_t NumTerms() const;
 
   /// Total number of postings across all terms.
-  virtual uint64_t NumPostings() const = 0;
+  uint64_t NumPostings() const { return postings_.size(); }
 
-  /// Bytes occupied (heap for the memory index, file size for disk).
-  virtual uint64_t SizeBytes() const = 0;
+  /// Heap bytes occupied.
+  uint64_t SizeBytes() const;
 
   /// Mean posting-list length — the paper's "keyword frequency" statistic
   /// (56.46 for DBpedia, 7.83 for Yago).
@@ -56,19 +47,6 @@ class InvertedIndex {
                   : static_cast<double>(NumPostings()) /
                         static_cast<double>(t);
   }
-};
-
-/// Heap-resident inverted index built directly from a DocumentStore.
-class MemoryInvertedIndex : public InvertedIndex {
- public:
-  /// Builds postings for all terms in [0, num_terms).
-  static MemoryInvertedIndex Build(const DocumentStore& docs,
-                                   TermId num_terms);
-
-  Status GetPostings(TermId term, std::vector<VertexId>* out) const override;
-  uint64_t NumTerms() const override;
-  uint64_t NumPostings() const override { return postings_.size(); }
-  uint64_t SizeBytes() const override;
 
   /// Size of the id space the index was built over (terms with empty lists
   /// included).
@@ -76,12 +54,8 @@ class MemoryInvertedIndex : public InvertedIndex {
     return static_cast<TermId>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }
 
-  std::optional<std::span<const VertexId>> PostingsSpan(
-      TermId term) const override {
-    return Postings(term);
-  }
-
-  /// Zero-copy view (memory index only).
+  /// Zero-copy view, valid for the index's lifetime; unknown terms yield
+  /// an empty span.
   std::span<const VertexId> Postings(TermId term) const {
     if (term + 1 >= offsets_.size()) return {};
     return {postings_.data() + offsets_[term],
@@ -108,10 +82,8 @@ class MemoryInvertedIndex : public InvertedIndex {
 /// Write commits via temp-file + fsync + atomic rename; Open CRC-verifies
 /// every section (the postings blob is streamed) before any query runs,
 /// so positioned reads at query time stay checksum-covered.
-class DiskInvertedIndex : public InvertedIndex {
+class DiskInvertedIndex {
  public:
-  ~DiskInvertedIndex() override = default;
-
   DiskInvertedIndex(const DiskInvertedIndex&) = delete;
   DiskInvertedIndex& operator=(const DiskInvertedIndex&) = delete;
 
@@ -124,10 +96,12 @@ class DiskInvertedIndex : public InvertedIndex {
   static Result<std::unique_ptr<DiskInvertedIndex>> Open(
       const std::string& path, FileSystem* fs = nullptr);
 
-  Status GetPostings(TermId term, std::vector<VertexId>* out) const override;
-  uint64_t NumTerms() const override { return offsets_.size(); }
-  uint64_t NumPostings() const override { return num_postings_; }
-  uint64_t SizeBytes() const override { return file_size_; }
+  /// Same contract as MemoryInvertedIndex::GetPostings.
+  Status GetPostings(TermId term, std::vector<VertexId>* out) const;
+  uint64_t NumTerms() const { return offsets_.size(); }
+  uint64_t NumPostings() const { return num_postings_; }
+  /// File size in bytes.
+  uint64_t SizeBytes() const { return file_size_; }
 
   /// File range of the varint posting blob (CRC-verified at Open) —
   /// exposed so a pooled reader can route posting decodes through a

@@ -24,7 +24,7 @@ namespace ksp {
 namespace {
 
 /// Committed (backend-invariant) counters of one query. Excludes the
-/// bufferpool_* trio, wall-clock fields, and the speculation/cache
+/// bufferpool_* trio, wall-clock fields, and the cache
 /// counters that are outside the determinism contract.
 void ExpectCommittedCountersEqual(const QueryStats& mem,
                                   const QueryStats& disk,
@@ -190,33 +190,6 @@ TEST_F(BackendInvarianceTest, TaMatchesAcrossBackendsOnSubset) {
         disk_stats.bufferpool_hits + disk_stats.bufferpool_misses;
   }
   EXPECT_GT(disk_fetches, 0u);
-}
-
-// The intra-query pipeline on the disk backend must agree with the
-// sequential disk path on results and committed counters (speculation,
-// cache and bufferpool counters are interleaving-dependent).
-TEST_F(BackendInvarianceTest, ParallelPipelineMatchesOnDiskBackend) {
-  QueryExecutor sequential(disk_db_);
-  QueryExecutor parallel(disk_db_);
-  parallel.set_intra_query_threads(3);
-  for (size_t qi = 0; qi < queries_->size(); qi += 5) {
-    KspQuery query = (*queries_)[qi];
-    query.k = 5;
-    for (Execute execute :
-         {&QueryExecutor::ExecuteSpp, &QueryExecutor::ExecuteSp}) {
-      const std::string context_str =
-          "parallel-disk query " + std::to_string(qi);
-      QueryStats seq_stats;
-      auto seq_result = (sequential.*execute)(query, &seq_stats);
-      ASSERT_TRUE(seq_result.ok()) << seq_result.status().ToString();
-      QueryStats par_stats;
-      auto par_result = (parallel.*execute)(query, &par_stats);
-      ASSERT_TRUE(par_result.ok()) << par_result.status().ToString();
-      ExpectResultsEqual(*seq_result, *par_result, context_str.c_str());
-      ExpectCommittedCountersEqual(seq_stats, par_stats,
-                                   context_str.c_str());
-    }
-  }
 }
 
 // Semantic cache over the disk backend: a second pass over the same

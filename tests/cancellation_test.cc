@@ -102,14 +102,11 @@ void ExpectSameResult(const KspResult& got, const KspResult& want,
 /// biting. After each cancellation it runs `other` (which shares no
 /// keyword with `query`) and then `query` again, comparing both against
 /// their uncancelled references. Exercises every phase a check can land
-/// in: early checks hit the first BFS, later ones the pipeline commit or
-/// the final candidates.
+/// in: early checks hit the first BFS, later ones the final candidates.
 void RunCancellationSweep(KspDatabase* db, const KspQuery& query,
                           const KspQuery& other,
-                          const NamedAlgorithm& algorithm,
-                          uint32_t intra_threads) {
+                          const NamedAlgorithm& algorithm) {
   QueryExecutor executor(db);
-  executor.set_intra_query_threads(intra_threads);
 
   auto reference = (executor.*algorithm.fn)(query, nullptr);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -134,9 +131,8 @@ void RunCancellationSweep(KspDatabase* db, const KspQuery& query,
     QueryStats stats;
     auto cancelled = (executor.*algorithm.fn)(query, &stats);
     token.Reset();  // Disarm before the verification run.
-    const std::string context = std::string(algorithm.name) + " trip=" +
-                                std::to_string(trip) +
-                                " threads=" + std::to_string(intra_threads);
+    const std::string context =
+        std::string(algorithm.name) + " trip=" + std::to_string(trip);
     if (cancelled.ok()) {
       // The token no longer fires inside the run: the sweep is done.
       ExpectSameResult(*cancelled, *reference, context + " (uncancelled)");
@@ -220,30 +216,7 @@ TEST(CancellationTest, RerunAfterCancelIsExactOnMemoryBackend) {
   const KspQuery other = DisjointFromFirst(queries);
 
   for (const NamedAlgorithm& algorithm : kAlgorithms) {
-    RunCancellationSweep(&db, queries[0], other, algorithm,
-                         /*intra_threads=*/1);
-  }
-}
-
-TEST(CancellationTest, RerunAfterCancelIsExactInParallelPipeline) {
-  auto kb = MakeKb(500);
-  KspOptions options;
-  options.cache_budget_bytes = 256 * 1024;
-  KspDatabase db(kb.get(), options);
-  db.PrepareAll(3);
-  const auto queries = MakeQueries(*kb, 8);
-  ASSERT_GE(queries.size(), 2u);
-  const KspQuery other = DisjointFromFirst(queries);
-
-  // Pipeline algorithms only (TA/KW never enter the pipeline).
-  constexpr NamedAlgorithm kPipelined[] = {
-      {"BSP", &QueryExecutor::ExecuteBsp},
-      {"SPP", &QueryExecutor::ExecuteSpp},
-      {"SP", &QueryExecutor::ExecuteSp},
-  };
-  for (const NamedAlgorithm& algorithm : kPipelined) {
-    RunCancellationSweep(&db, queries[0], other, algorithm,
-                         /*intra_threads=*/3);
+    RunCancellationSweep(&db, queries[0], other, algorithm);
   }
 }
 
@@ -263,8 +236,7 @@ TEST(CancellationTest, RerunAfterCancelIsExactOnDiskBackendAndPinsDrop) {
   const KspQuery other = DisjointFromFirst(queries);
 
   for (const NamedAlgorithm& algorithm : kAlgorithms) {
-    RunCancellationSweep(&db, queries[0], other, algorithm,
-                         /*intra_threads=*/1);
+    RunCancellationSweep(&db, queries[0], other, algorithm);
     // A cancelled BFS must not leak page pins: a pinned frame would be
     // unevictable forever and eventually wedge the pool.
     EXPECT_EQ(db.buffer_pool()->GetStats().pinned_pages, 0u)

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 
 #include "core/database.h"
@@ -187,26 +186,6 @@ TEST(EngineEdgeCasesTest, TimeLimitMarksIncomplete) {
   auto result = executor.ExecuteBsp(query, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(stats.completed);
-}
-
-TEST(EngineEdgeCasesTest, DiskInvertedIndexBackendGivesSameAnswers) {
-  auto kb = SmallKb();
-  std::string path = "/tmp/ksp_engine_disk.idx";
-  ASSERT_TRUE(DiskInvertedIndex::Write(kb->inverted_index(), path).ok());
-  auto disk = DiskInvertedIndex::Open(path);
-  ASSERT_TRUE(disk.ok());
-
-  KspOptions options;
-  options.inverted_index = disk->get();
-  KspDatabase db(kb.get(), options);
-  db.PrepareAll(2);
-  QueryExecutor executor(&db);
-  KspQuery query = db.MakeQuery(kQ1, Figure1QueryKeywords(), 2);
-  auto result = executor.ExecuteSp(query);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->entries.size(), 2u);
-  EXPECT_NEAR(result->entries[0].score, 1.32, 0.01);
-  std::remove(path.c_str());
 }
 
 TEST(EngineEdgeCasesTest, StatsAccumulate) {

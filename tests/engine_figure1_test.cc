@@ -225,6 +225,25 @@ TEST_F(Figure1Test, PruningRule1DiscardsUnreachableKeywordPlaces) {
   EXPECT_EQ(stats.pruned_unqualified, 2u);
   EXPECT_EQ(stats.tqsp_computations, 0u);
 
+  // SP on the same query: with k = 2 the heap never fills, so θ stays
+  // +inf, Rules 3 and 4 cannot prune, and both places reach the per-place
+  // step, where Rule 1 discards them.
+  QueryStats sp_stats;
+  auto sp_result = exec_->ExecuteSp(query, &sp_stats);
+  ASSERT_TRUE(sp_result.ok());
+  EXPECT_TRUE(sp_result->entries.empty());
+  EXPECT_EQ(sp_stats.pruned_unqualified, 2u);
+  EXPECT_EQ(sp_stats.tqsp_computations, 0u);
+  auto report = exec_->Explain(query, KspAlgorithm::kSp);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(std::count_if(report->candidates.begin(),
+                          report->candidates.end(),
+                          [](const ExplainCandidate& row) {
+                            return row.outcome ==
+                                   CandidateOutcome::kPrunedRule1;
+                          }),
+            2);
+
   // {church, ancient}: both reachable from p2 only.
   KspQuery q2 = db_->MakeQuery(kQ2, {"church", "ancient"}, 2);
   QueryStats stats2;

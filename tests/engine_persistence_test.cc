@@ -17,23 +17,16 @@
 namespace ksp {
 namespace {
 
-/// Abbey (a place) -> Town, plus `quays` vertices whose documents hold
-/// "abbey" too; `harbour` adds a document term to Town. Variants share
-/// the first vertices and their terms, so a term has the same id in
-/// each.
-Result<std::unique_ptr<KnowledgeBase>> AbbeyKb(bool harbour,
-                                               uint32_t quays = 0) {
+/// Abbey (a place) -> Town; `harbour` adds a document term to Town.
+/// Both variants share the first vertices and their terms, so a term
+/// has the same id in each.
+Result<std::unique_ptr<KnowledgeBase>> AbbeyKb(bool harbour) {
   KnowledgeBaseBuilder builder;
   const VertexId abbey = builder.AddEntity("http://example.org/Abbey");
   const VertexId town = builder.AddEntity("http://example.org/Town");
   builder.SetLocation(abbey, Point{4.6, 43.7});
   builder.AddRelation(abbey, town, "http://example.org/nearTo");
   if (harbour) builder.AddDocumentTerm(town, "harbour");
-  for (uint32_t i = 0; i < quays; ++i) {
-    builder.AddDocumentTerm(
-        builder.AddEntity("http://example.org/quay/" + std::to_string(i)),
-        "abbey");
-  }
   return builder.Finish();
 }
 
@@ -292,36 +285,46 @@ TEST_F(EnginePersistenceTest, ReachabilityOverAnotherVocabularyRejected) {
   EXPECT_FALSE(restored.has_rtree());
 }
 
-// Posting ids index the executor's per-vertex arrays. A CRC-valid
-// postings file written for a larger KB and passed in as the inverted
-// index lists vertices this KB does not have: every algorithm answers
-// Corruption before it sets a keyword bit, and the executor stays exact.
-TEST_F(EnginePersistenceTest, PostingsFromAnotherKbAreCorruption) {
-  auto small_kb = AbbeyKb(/*harbour=*/false);
-  auto large_kb = AbbeyKb(/*harbour=*/false, /*quays=*/200);
-  ASSERT_TRUE(small_kb.ok() && large_kb.ok());
-  ASSERT_EQ((*small_kb)->num_vertices(), 2u);
-  ASSERT_EQ((*large_kb)->num_vertices(), 202u);
-  const std::string path = dir_ + "/postings.bin";
-  ASSERT_TRUE(
-      DiskInvertedIndex::Write((*large_kb)->inverted_index(), path).ok());
-  auto postings = DiskInvertedIndex::Open(path);
-  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
-
+// Posting ids index the executor's per-vertex arrays, and the disk
+// backend decodes them with no range check. A spilled postings page
+// damaged after the database opened (and CRC-checked) the file lists a
+// vertex this KB does not have: every algorithm answers Corruption
+// before it sets a keyword bit, and the executor stays exact.
+TEST_F(EnginePersistenceTest, OutOfRangeSpilledPostingIsCorruption) {
+  auto kb = AbbeyKb(/*harbour=*/false);
+  ASSERT_TRUE(kb.ok());
+  ASSERT_EQ((*kb)->num_vertices(), 2u);
   KspOptions options;
-  options.inverted_index = postings->get();
-  KspDatabase db(small_kb->get(), options);
+  options.backend = StorageBackend::kDisk;
+  options.spill_directory = dir_ + "/spill";
+  KspDatabase db(kb->get(), options);
   db.PrepareAll(2);
+  ASSERT_TRUE(db.storage_backend_status().ok())
+      << db.storage_backend_status().ToString();
   const Point here{4.6, 43.7};
-  // "abbey" lists Abbey and the 200 quays; "town" lists Town alone.
   const KspQuery overflowing = db.MakeQuery(here, {"abbey"}, 1);
   const KspQuery in_range = db.MakeQuery(here, {"town"}, 1);
+
+  // "abbey" lists Abbey alone: a one-byte count and a one-byte id. The
+  // id byte becomes 0x7F, the one-byte varint of vertex 127.
+  const std::string path = options.spill_directory + "/postings.bin";
+  auto postings = DiskInvertedIndex::Open(path);
+  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
   std::vector<VertexId> list;
   ASSERT_TRUE((*postings)->GetPostings(overflowing.keywords[0], &list).ok());
-  ASSERT_EQ(list.size(), 201u);
-  list.clear();
-  ASSERT_TRUE((*postings)->GetPostings(in_range.keywords[0], &list).ok());
-  ASSERT_EQ(list, std::vector<VertexId>{1});
+  ASSERT_EQ(list, std::vector<VertexId>{0});
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  ASSERT_TRUE(
+      (*postings)->PostingRange(overflowing.keywords[0], &begin, &end).ok());
+  ASSERT_EQ(end - begin, 2u);
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>((*postings)->blob_offset() + end -
+                                           1));
+    file.put('\x7F');
+    ASSERT_TRUE(file.good());
+  }
 
   using ExecuteFn = Result<KspResult> (QueryExecutor::*)(const KspQuery&,
                                                          QueryStats*);

@@ -60,34 +60,19 @@ TEST(MemoryInvertedIndexTest, TermWithNoPostings) {
   EXPECT_EQ(index.TermCount(), 3u);
 }
 
-TEST(MemoryInvertedIndexTest, PostingsSpanIsZeroCopy) {
+TEST(MemoryInvertedIndexTest, PostingsViewsAreZeroCopy) {
   DocumentStore store = MakeStore({{1}, {0, 1}, {1, 2}, {}, {0, 2}});
   auto index = MemoryInvertedIndex::Build(store, 3);
   for (TermId t = 0; t < 3; ++t) {
-    auto span = index.PostingsSpan(t);
-    ASSERT_TRUE(span.has_value()) << "term " << t;
+    const std::span<const VertexId> view = index.Postings(t);
     std::vector<VertexId> copy;
     ASSERT_TRUE(index.GetPostings(t, &copy).ok());
-    EXPECT_EQ(std::vector<VertexId>(span->begin(), span->end()), copy);
-    // The span aliases the index's own storage — no copy was made.
-    EXPECT_EQ(span->data(), index.Postings(t).data());
+    EXPECT_EQ(std::vector<VertexId>(view.begin(), view.end()), copy)
+        << "term " << t;
+    // Two calls alias the index's own storage — no copy was made.
+    EXPECT_EQ(view.data(), index.Postings(t).data()) << "term " << t;
   }
-  auto unknown = index.PostingsSpan(9);
-  ASSERT_TRUE(unknown.has_value());
-  EXPECT_TRUE(unknown->empty());
-}
-
-TEST(DiskInvertedIndexTest, PostingsSpanUnsupported) {
-  DocumentStore store = MakeStore({{0, 1}});
-  auto mem = MemoryInvertedIndex::Build(store, 2);
-  std::string path = TempPath("ksp_disk_index_span.idx");
-  ASSERT_TRUE(DiskInvertedIndex::Write(mem, path).ok());
-  auto opened = DiskInvertedIndex::Open(path);
-  ASSERT_TRUE(opened.ok());
-  // Disk postings decode per call, so the zero-copy view is declined and
-  // callers must fall back to GetPostings.
-  EXPECT_FALSE((*opened)->PostingsSpan(0).has_value());
-  std::remove(path.c_str());
+  EXPECT_TRUE(index.Postings(9).empty());
 }
 
 TEST(DiskInvertedIndexTest, RoundTripSmall) {

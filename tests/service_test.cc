@@ -410,6 +410,20 @@ TEST(ServiceServerTest, FinishedConnectionThreadsAreReaped) {
   server.Stop();
 }
 
+// Only workers answer admitted queries and enforce their deadlines: a
+// server without one would leave its first query, and then Stop, waiting
+// forever. Start refuses it before binding; no query is sent.
+TEST(ServiceServerTest, ZeroWorkersRefusedAtStart) {
+  auto kb = MakeKb(200);
+  ServerOptions options;
+  options.num_workers = 0;
+  KspServer server(kb.get(), KspOptions(), options);
+  const Status status = server.Start();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(server.port(), 0);
+  server.Stop();
+}
+
 TEST(ServiceServerTest, NoDatabaseMeansUnavailable) {
   auto kb = MakeKb(200);
   ServerOptions options;

@@ -22,7 +22,6 @@
 #include "query_corpus.h"
 #include "rdf/knowledge_base.h"
 #include "shard/partition.h"
-#include "shard/remote.h"
 #include "shard/sharded_database.h"
 #include "shard/sharded_executor.h"
 
@@ -185,21 +184,6 @@ TEST_F(ShardEquivalenceTest, DiskBackendByteIdentical) {
     CheckSharded(**sharded, &executor, {5u},
                  "disk K=" + std::to_string(num_shards));
   }
-}
-
-// The loopback channel round-trips every request and response through
-// the wire codec (remote.h) before and after execution — a transport
-// swap must not change a byte of the results. The shared-θ fast path is
-// unavailable across the codec (remote shards only get the dispatch-time
-// θ seed), which exercises the weaker-θ side of the exactness argument.
-TEST_F(ShardEquivalenceTest, LoopbackTransportByteIdentical) {
-  auto partition = StrPartition(*kb_, 4);
-  auto sharded = ShardedKspDatabase::Build(kb_, KspOptions(), partition,
-                                           /*alpha=*/3);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ShardedExecutor executor(sharded->get(),
-                           MakeLoopbackChannels(**sharded));
-  CheckSharded(**sharded, &executor, {5u}, "loopback K=4");
 }
 
 // Persistence round-trip: Save writes every shard plus the SHARDS

@@ -17,10 +17,10 @@
 namespace ksp {
 namespace {
 
-// 2 doubles + 19 uint64 counters + bool (padded) on LP64. If this fires,
+// 2 doubles + 18 uint64 counters + bool (padded) on LP64. If this fires,
 // a field was added or removed: update Accumulate, the field checks
 // below, and RecordQueryMetrics in executor.cc, then re-pin the size.
-static_assert(sizeof(QueryStats) == 176,
+static_assert(sizeof(QueryStats) == 168,
               "QueryStats layout changed — audit Accumulate() and every "
               "consumer before re-pinning this size");
 
@@ -36,7 +36,6 @@ QueryStats MakeDistinct(int base) {
   s.pruned_dynamic_bound = base + 6;
   s.pruned_alpha_place = base + 7;
   s.pruned_alpha_node = base + 8;
-  s.speculative_wasted_tqsp = base + 9;
   s.dg_cache_hits = base + 10;
   s.dg_cache_misses = base + 11;
   s.result_cache_hits = base + 12;
@@ -65,7 +64,6 @@ TEST(QueryStatsTest, AccumulateMergesEveryField) {
   EXPECT_EQ(a.pruned_dynamic_bound, 106u + 1006u);
   EXPECT_EQ(a.pruned_alpha_place, 107u + 1007u);
   EXPECT_EQ(a.pruned_alpha_node, 108u + 1008u);
-  EXPECT_EQ(a.speculative_wasted_tqsp, 109u + 1009u);
   EXPECT_EQ(a.dg_cache_hits, 110u + 1010u);
   EXPECT_EQ(a.dg_cache_misses, 111u + 1011u);
   EXPECT_EQ(a.result_cache_hits, 112u + 1012u);
