@@ -328,6 +328,16 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
   // read-modify-write against the heap-resident stats on every pop.
   uint64_t pops = 0;
 
+  // Lemma 1: at a pop at distance `dist`, every undiscovered keyword lies
+  // at distance >= dist. Covering c keywords at `dist` moves c·dist from
+  // the second term into the first, so the bound is the same at every
+  // pop of one level.
+  auto lemma1_bound = [&](uint32_t dist) {
+    return 1.0 + covered_sum +
+           static_cast<double>(dist) *
+               static_cast<double>(std::popcount(remaining));
+  };
+
   // Per-pop body of the frontier loop below; false means stop (the flags
   // and `remaining` say why). `qi` is the global pop index in FIFO order
   // (within a BFS level, discovery order); the cancellation cadence keys
@@ -343,16 +353,9 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
     }
     ++pops;
 
-    if (use_dynamic_bound) {
-      // Lemma 1: every undiscovered keyword lies at distance >= dist.
-      double lower_bound =
-          1.0 + covered_sum +
-          static_cast<double>(dist) *
-              static_cast<double>(std::popcount(remaining));
-      if (lower_bound >= looseness_threshold) {
-        pruned = true;  // Pruning Rule 2.
-        return false;
-      }
+    if (use_dynamic_bound && lemma1_bound(dist) >= looseness_threshold) {
+      pruned = true;  // Pruning Rule 2.
+      return false;
     }
 
     uint64_t mask = ctx.MaskOf(v) & remaining;
@@ -372,11 +375,18 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
     return true;
   };
 
-  // Level-synchronous frontiers of bare vertex ids (the level counter is
-  // the distance), with a neighbor-span prefetch a few pops ahead in the
-  // current frontier. Capacity persists across candidates in the
-  // executor scratch. On the memory backend the CSR is read directly,
-  // skipping the per-pop virtual dispatch.
+  // Level-synchronous frontiers (the level counter is the distance).
+  // Capacity persists across candidates in the executor scratch. Each
+  // level runs two passes: a pop pass feeds the level to process_pop in
+  // frontier order and stops where a FIFO BFS stops; only if it did not
+  // stop does an expand pass scan the level's edges, prefetching
+  // neighbor spans a few vertices ahead. The next level's Lemma 1 bound
+  // is known before the expand pass. If it reaches the threshold, that
+  // level's first pop aborts, so the expand pass stops at the first
+  // vertex that appends a fresh neighbour: the aborting pop still
+  // happens and is counted, and with no fresh neighbour the search runs
+  // out of vertices as it would after a full scan. On the memory backend
+  // the CSR is read directly, skipping the per-vertex virtual dispatch.
   //
   // Both buffers are sized to the vertex count up front: a vertex is
   // discovered at most once per epoch, so the raw `nxt[nxt_n] = ...`
@@ -421,6 +431,17 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
   bool stop = remaining == 0;
   while (!stop && cur_n > 0) {
     for (size_t j = 0; j < cur_n; ++j, ++qi) {
+      const VertexId v = EntryVertex(cur[j]);
+      parents[v] = EntryParent(cur[j]);
+      if (!process_pop(v, dist, qi)) {
+        stop = true;
+        break;
+      }
+    }
+    if (stop) break;
+    const bool next_level_aborts =
+        use_dynamic_bound && lemma1_bound(dist + 1) >= looseness_threshold;
+    for (size_t j = 0; j < cur_n; ++j) {
       if (j + kPrefetchAhead < cur_n) {
         const VertexId ahead = EntryVertex(cur[j + kPrefetchAhead]);
         if (csr != nullptr) {
@@ -430,11 +451,6 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
         }
       }
       const VertexId v = EntryVertex(cur[j]);
-      parents[v] = EntryParent(cur[j]);
-      if (!process_pop(v, dist, qi)) {
-        stop = true;
-        break;
-      }
       const uint64_t tagged = Entry(v, 0);
       const std::span<const VertexId> out =
           csr != nullptr ? csr->OutNeighbors(v)
@@ -456,6 +472,7 @@ double QueryExecutor::ComputeTqsp(VertexId root, const QueryContext& ctx,
           nxt_n += fresh;
         }
       }
+      if (next_level_aborts && nxt_n != 0) break;
     }
     std::swap(cur, nxt);
     cur_n = nxt_n;
@@ -586,6 +603,11 @@ Result<TiedSemanticPlace> QueryExecutor::ComputeTqspAlternatives(
   std::vector<uint32_t> min_dist(m, kUnreachable);
   std::vector<std::vector<VertexId>> alternatives(m);
   size_t found = 0;
+  // The largest minimum distance found so far. Once every keyword has
+  // one, every remaining tie lies at this distance and is already
+  // queued (its whole previous level was expanded), so no more edges are
+  // scanned and the first pop past it ends the search.
+  uint32_t last_min = 0;
 
   const uint16_t epoch = BeginBfsEpoch();
   visit_epoch_[out.root] = epoch;
@@ -597,23 +619,19 @@ Result<TiedSemanticPlace> QueryExecutor::ComputeTqspAlternatives(
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     if ((qi & 0x3F) == 0 && CheckInterrupt()) break;
     auto [v, dist] = queue[qi];
-    // Stop once all keywords are found and BFS has moved past the last
-    // minimum distance (no further ties possible).
-    if (found == m) {
-      uint32_t max_min = 0;
-      for (uint32_t d : min_dist) max_min = std::max(max_min, d);
-      if (dist > max_min) break;
-    }
+    if (found == m && dist > last_min) break;
     uint64_t mask = ctx.MaskOf(v);
     while (mask != 0) {
       uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
       mask &= mask - 1;
       if (min_dist[i] == kUnreachable) {
         min_dist[i] = dist;
+        last_min = dist;
         ++found;
       }
       if (dist == min_dist[i]) alternatives[i].push_back(v);
     }
+    if (found == m) continue;
     for (VertexId w : graph.OutNeighbors(v, &graph_cursor_)) {
       if (visit_epoch_[w] != epoch) {
         visit_epoch_[w] = epoch;

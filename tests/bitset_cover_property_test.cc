@@ -1,5 +1,5 @@
 // Property tier: the u64-bitset keyword-cover machinery (DESIGN.md §13)
-// against straightforward set-based references. Two layers:
+// against straightforward set-based references. Three layers:
 //
 //  1. End-to-end TQSP merge/qualification on random knowledge bases:
 //     the executor's bitset cover tracking over its per-vertex keyword
@@ -10,6 +10,9 @@
 //  2. The contract edges: exactly 64 distinct keywords work (full_mask
 //     = ~0), duplicates dedup before the limit, and >64 distinct
 //     keywords fail with InvalidArgument.
+//  3. Algorithm 3's decisions and pop counts: every place row of an SPP
+//     EXPLAIN against a literal FIFO replay that tests Lemma 1 at every
+//     pop — outcome, looseness, summed pops and Rule-2 aborts.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -322,6 +326,170 @@ TEST(BitsetCoverProperty, MoreThan64DistinctKeywordsIsInvalidArgument) {
   auto ok_tree = exec.ComputeTqspForPlace(0, query);
   ASSERT_TRUE(ok_tree.ok()) << ok_tree.status().ToString();
   EXPECT_TRUE(ok_tree->IsQualified());
+}
+
+// ---------------------------------------------------------------------
+// Layer 3: Algorithm 3 (GetSemanticPlaceP) against a literal replay.
+// ---------------------------------------------------------------------
+
+enum class ReplayOutcome { kQualified, kPrunedRule2, kUnqualified };
+
+struct Algorithm3Replay {
+  ReplayOutcome outcome = ReplayOutcome::kUnqualified;
+  double looseness = kInf;
+  uint64_t pops = 0;
+  /// Unqualified, and Lemma 1's bound at the level after the last pop
+  /// reaches Lw: the frontier emptied exactly where the next pop would
+  /// have aborted.
+  bool exhausted_at_bound = false;
+};
+
+/// GetSemanticPlaceP as the paper states it: a FIFO BFS from `root`
+/// that tests Lemma 1's bound 1 + Σ dg + d·|B| against `lw` at every
+/// pop — the aborting pop is counted — and expands a vertex's edges
+/// right after its pop (in-edges too when `undirected`).
+Algorithm3Replay ReplayAlgorithm3(const KnowledgeBase& kb, bool undirected,
+                                  VertexId root,
+                                  const std::vector<TermId>& query_terms,
+                                  double lw) {
+  std::set<TermId> uncovered(query_terms.begin(), query_terms.end());
+  const DocumentStore& docs = kb.documents();
+  const Graph& graph = kb.graph();
+  std::vector<char> seen(kb.num_vertices(), 0);
+  std::deque<std::pair<VertexId, uint32_t>> queue;
+  queue.emplace_back(root, 0);
+  seen[root] = 1;
+  double covered_sum = 0.0;
+  uint32_t last_dist = 0;
+  const auto bound = [&](uint32_t dist) {
+    return 1.0 + covered_sum +
+           static_cast<double>(dist) * static_cast<double>(uncovered.size());
+  };
+
+  Algorithm3Replay out;
+  while (!queue.empty()) {
+    const auto [v, dist] = queue.front();
+    queue.pop_front();
+    ++out.pops;
+    last_dist = dist;
+    if (bound(dist) >= lw) {
+      out.outcome = ReplayOutcome::kPrunedRule2;
+      return out;
+    }
+    for (auto it = uncovered.begin(); it != uncovered.end();) {
+      if (docs.Contains(v, *it)) {
+        covered_sum += static_cast<double>(dist);
+        it = uncovered.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (uncovered.empty()) {
+      out.outcome = ReplayOutcome::kQualified;
+      out.looseness = 1.0 + covered_sum;
+      return out;
+    }
+    auto visit = [&](std::span<const VertexId> neighbors) {
+      for (VertexId w : neighbors) {
+        if (seen[w] == 0) {
+          seen[w] = 1;
+          queue.emplace_back(w, dist + 1);
+        }
+      }
+    };
+    visit(graph.OutNeighbors(v));
+    if (undirected) visit(graph.InNeighbors(v));
+  }
+  out.exhausted_at_bound = bound(last_dist + 1) >= lw;
+  return out;
+}
+
+/// MakeRandomKb's out-degrees of 0-3 leave keywords unreachable and make
+/// many searches run out of vertices, some exactly at the level where
+/// the bound reaches Lw. Rule 1 is off, so those places reach the BFS.
+TEST(BitsetCoverProperty, SppRowsAndCountersMatchLiteralAlgorithm3) {
+  uint64_t exhausted_at_bound = 0;
+  uint64_t outcomes[3] = {0, 0, 0};
+  for (const bool undirected : {false, true}) {
+    std::mt19937_64 rng(undirected ? 0xA13D : 0xA13);
+    for (int trial = 0; trial < 24; ++trial) {
+      RandomKbSpec spec;
+      spec.num_vertices = 30 + static_cast<uint32_t>(rng() % 90);
+      spec.num_terms = 2 + static_cast<uint32_t>(rng() % 6);
+      auto kb = MakeRandomKb(spec, &rng);
+      ASSERT_NE(kb, nullptr);
+      KspOptions options;
+      options.undirected_edges = undirected;
+      options.use_unqualified_pruning = false;
+      KspDatabase db(kb.get(), options);
+      db.PrepareAll(/*alpha=*/3);
+      QueryExecutor exec(&db);
+
+      std::vector<std::string> names;
+      for (uint32_t t = 0; t < spec.num_terms; ++t) {
+        names.push_back(TermName(t));
+      }
+      std::shuffle(names.begin(), names.end(), rng);
+      names.resize(1 + static_cast<size_t>(rng() % names.size()));
+      for (const uint32_t k : {1u, 3u}) {
+        KspQuery query;
+        query.location = Point{static_cast<double>(rng() % 100),
+                               static_cast<double>(rng() % 100)};
+        query.k = k;
+        query.keywords = kb->LookupTerms(names);
+        const std::string context =
+            std::string(undirected ? "undirected" : "directed") +
+            " trial " + std::to_string(trial) + " k=" + std::to_string(k);
+
+        auto report = exec.Explain(query, KspAlgorithm::kSpp);
+        ASSERT_TRUE(report.ok()) << context << ": "
+                                 << report.status().ToString();
+        uint64_t pops = 0;
+        uint64_t aborts = 0;
+        for (const ExplainCandidate& row : report->candidates) {
+          ASSERT_FALSE(row.is_node) << context;
+          const double lw = options.ranking.LoosenessThreshold(
+              row.threshold, row.spatial_distance);
+          const Algorithm3Replay want =
+              ReplayAlgorithm3(*kb, undirected, kb->place_vertex(row.place),
+                               query.keywords, lw);
+          const std::string where =
+              context + " place " + std::to_string(row.place);
+          pops += want.pops;
+          ++outcomes[static_cast<int>(want.outcome)];
+          switch (want.outcome) {
+            case ReplayOutcome::kPrunedRule2:
+              ++aborts;
+              EXPECT_EQ(row.outcome, CandidateOutcome::kPrunedRule2) << where;
+              EXPECT_EQ(row.looseness, lw) << where;
+              break;
+            case ReplayOutcome::kUnqualified:
+              exhausted_at_bound += want.exhausted_at_bound;
+              EXPECT_EQ(row.outcome, CandidateOutcome::kUnqualified) << where;
+              EXPECT_EQ(row.looseness, kInf) << where;
+              break;
+            case ReplayOutcome::kQualified:
+              EXPECT_TRUE(row.outcome == CandidateOutcome::kComputed ||
+                          row.outcome == CandidateOutcome::kInTopK)
+                  << where << ": " << CandidateOutcomeName(row.outcome);
+              EXPECT_EQ(row.looseness, want.looseness) << where;
+              break;
+          }
+        }
+        EXPECT_EQ(report->stats.tqsp_computations,
+                  report->candidates.size())
+            << context;
+        EXPECT_EQ(report->stats.vertices_visited, pops) << context;
+        EXPECT_EQ(report->stats.pruned_dynamic_bound, aborts) << context;
+      }
+    }
+  }
+  // The seeds reach every outcome, and the boundary where the frontier
+  // empties at the level whose first pop would abort.
+  EXPECT_GT(outcomes[static_cast<int>(ReplayOutcome::kQualified)], 0u);
+  EXPECT_GT(outcomes[static_cast<int>(ReplayOutcome::kPrunedRule2)], 0u);
+  EXPECT_GT(outcomes[static_cast<int>(ReplayOutcome::kUnqualified)], 0u);
+  EXPECT_GT(exhausted_at_bound, 0u);
 }
 
 }  // namespace
