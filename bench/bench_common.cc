@@ -312,7 +312,7 @@ WorkloadStats RunWorkload(const KspDatabase& db, Algo algo,
       KspQuery q = query;
       if (k > 0) q.k = k;
       QueryStats stats;
-      auto result = ExecuteWith(&executor, algo, q, &stats);
+      auto result = executor.Execute(algo, q, &stats);
       KSP_CHECK(result.ok()) << result.status().ToString();
       out.sum.Accumulate(stats);
       out.wall_us.push_back(stats.total_ms * 1000.0);
@@ -352,7 +352,7 @@ std::vector<KspResult> RunWorkloadCollect(
   for (const KspQuery& query : queries) {
     KspQuery q = query;
     if (k > 0) q.k = k;
-    auto result = ExecuteWith(&executor, algo, q, nullptr);
+    auto result = executor.Execute(algo, q);
     KSP_CHECK(result.ok()) << result.status().ToString();
     results.push_back(std::move(*result));
   }

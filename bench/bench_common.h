@@ -8,7 +8,6 @@
 #include "common/metrics.h"
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "core/trace.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"

@@ -23,7 +23,6 @@
 
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "datagen/fixtures.h"
 #include "rdf/kb_stats.h"
 #include "rdf/knowledge_base.h"
@@ -45,7 +44,7 @@ int RunQuery(const ksp::KnowledgeBase& kb, const ksp::KspDatabase& db,
   ksp::QueryExecutor executor(&db);
   ksp::KspQuery query = db.MakeQuery(location, keywords, options.k);
   ksp::QueryStats stats;
-  auto result = ExecuteWith(&executor, options.algorithm, query, &stats);
+  auto result = executor.Execute(options.algorithm, query, &stats);
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status().ToString().c_str());

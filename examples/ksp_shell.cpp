@@ -181,8 +181,9 @@ int main(int argc, char** argv) {
       ksp::KspQuery query = db.MakeQuery(
           ksp::Point{lat, lon}, keywords, static_cast<uint32_t>(k));
       ksp::QueryStats stats;
-      auto result = spatial ? executor.ExecuteSp(query, &stats)
-                            : executor.ExecuteKeywordOnly(query, &stats);
+      auto result = executor.Execute(
+          spatial ? ksp::KspAlgorithm::kSp : ksp::KspAlgorithm::kKeywordOnly,
+          query, &stats);
       if (!result.ok()) {
         std::printf("error: %s\n", result.status().ToString().c_str());
       } else {

@@ -84,20 +84,15 @@ int main() {
 
   // Same answers, very different work: run all three algorithms.
   std::printf("\nAlgorithm comparison on this query:\n");
-  struct Row {
-    const char* name;
-    ksp::Result<ksp::KspResult> (ksp::QueryExecutor::*run)(
-        const ksp::KspQuery&, ksp::QueryStats*);
-  };
-  for (const Row& row : {Row{"BSP", &ksp::QueryExecutor::ExecuteBsp},
-                         Row{"SPP", &ksp::QueryExecutor::ExecuteSpp},
-                         Row{"SP ", &ksp::QueryExecutor::ExecuteSp}}) {
+  for (const ksp::KspAlgorithm algorithm :
+       {ksp::KspAlgorithm::kBsp, ksp::KspAlgorithm::kSpp,
+        ksp::KspAlgorithm::kSp}) {
     ksp::QueryStats stats;
-    auto result = (executor.*row.run)(query, &stats);
+    auto result = executor.Execute(algorithm, query, &stats);
     if (!result.ok()) return 1;
-    std::printf("  %s  %8.2f ms  (%llu TQSP computations, %llu R-tree "
+    std::printf("  %-3s  %8.2f ms  (%llu TQSP computations, %llu R-tree "
                 "nodes)\n",
-                row.name, stats.total_ms,
+                ksp::KspAlgorithmName(algorithm), stats.total_ms,
                 static_cast<unsigned long long>(stats.tqsp_computations),
                 static_cast<unsigned long long>(stats.rtree_nodes_accessed));
   }

@@ -15,7 +15,7 @@ namespace ksp {
 /// executor running on its behalf.
 ///
 /// The executor never blocks on the token; it calls Check() at phase
-/// boundaries (per BFS batch, per candidate place, per pipeline commit)
+/// boundaries (every 64 BFS pops, per candidate place, per shard visit)
 /// and unwinds with a partial-stats error Status when the token fires.
 /// The owner may cancel from any thread; all members are thread-safe.
 ///
@@ -35,13 +35,20 @@ class CancellationToken {
   /// Requests cancellation. Safe to call from any thread, idempotent.
   void Cancel() { cancelled_.store(true, std::memory_order_release); }
 
-  /// Arms the deadline `ms` milliseconds from now. Pass through a fresh
-  /// token per request; re-arming replaces the previous deadline.
+  /// Arms the deadline `ms` milliseconds from now (a negative `ms` means
+  /// now). Pass through a fresh token per request; re-arming replaces the
+  /// previous deadline. The sum saturates: a deadline past what the
+  /// clock's int64 nanoseconds can hold (about 292 years of uptime) is
+  /// no deadline.
   void set_deadline_after_ms(int64_t ms) {
-    deadline_ns_.store(
-        (Clock::now() + std::chrono::milliseconds(ms)).time_since_epoch() /
-            std::chrono::nanoseconds(1),
-        std::memory_order_release);
+    constexpr int64_t kNsPerMs = 1'000'000;
+    const int64_t now =
+        Clock::now().time_since_epoch() / std::chrono::nanoseconds(1);
+    if (ms < 0) ms = 0;
+    const int64_t deadline =
+        ms < (kNoDeadline - now) / kNsPerMs ? now + ms * kNsPerMs
+                                            : kNoDeadline;
+    deadline_ns_.store(deadline, std::memory_order_release);
   }
 
   /// Clears any armed deadline without touching the cancel flag.

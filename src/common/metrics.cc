@@ -89,19 +89,6 @@ double HistogramSnapshot::Quantile(double q) const {
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
-void HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
-  if (count == 0 && counts.empty()) {
-    *this = other;
-    return;
-  }
-  if (other.counts.empty()) return;
-  KSP_CHECK(bounds == other.bounds)
-      << "merging histograms with different bucket bounds";
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  count += other.count;
-  sum += other.sum;
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)) {
   KSP_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
@@ -154,19 +141,6 @@ std::vector<double> Histogram::DefaultLatencyBucketsUs() {
   return {1.0,    2.5,    5.0,    10.0,    25.0,    50.0,    100.0,
           250.0,  500.0,  1000.0, 2500.0,  5000.0,  10000.0, 25000.0,
           50000.0, 100000.0, 1000000.0, 10000000.0};
-}
-
-void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) {
-    counters[name] += value;
-  }
-  for (const auto& [name, value] : other.gauges) {
-    auto [it, inserted] = gauges.emplace(name, value);
-    if (!inserted) it->second = std::max(it->second, value);
-  }
-  for (const auto& [name, histogram] : other.histograms) {
-    histograms[name].MergeFrom(histogram);
-  }
 }
 
 std::string MetricsSnapshot::ToPrometheusText() const {

@@ -90,9 +90,6 @@ struct HistogramSnapshot {
   double p50() const { return Quantile(0.50); }
   double p95() const { return Quantile(0.95); }
   double p99() const { return Quantile(0.99); }
-
-  /// Element-wise bucket/count/sum addition. Requires identical bounds.
-  void MergeFrom(const HistogramSnapshot& other);
 };
 
 /// Fixed-bucket histogram. Observe() is lock-free (thread-local shards);
@@ -127,19 +124,13 @@ class Histogram {
   Shard shards_[kMetricShards];
 };
 
-/// Merged, order-deterministic view of a whole registry, suitable for
-/// cross-thread aggregation (QueryExecutorPool merges one snapshot per
-/// worker registry) and for export. Maps are keyed by metric name, so
-/// export and merge order never depend on registration order.
+/// Order-deterministic view of a whole registry for export. Maps are
+/// keyed by metric name, so export order never depends on registration
+/// order.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  /// Sums counters and histograms; gauges take the maximum (a merged
-  /// instantaneous value has no unique answer — max keeps "high water"
-  /// semantics). Histograms present on both sides must share bounds.
-  void MergeFrom(const MetricsSnapshot& other);
 
   /// Prometheus text exposition format (# TYPE comments, _bucket/_sum/
   /// _count expansion for histograms), sorted by metric name.

@@ -221,16 +221,16 @@ Status KspDatabase::BuildDiskBackendState() {
     disk_ = std::move(state);
   }
   const std::string& dir = disk_->directory;
-  const uint32_t page_size = options_.buffer_pool_page_size;
 
   // The adjacency files and postings describe the immutable KB: written
   // once per database.
   if (disk_->graph == nullptr) {
     const std::string out_path = dir + "/graph-out.bin";
     const std::string in_path = dir + "/graph-in.bin";
-    KSP_RETURN_NOT_OK(DiskGraph::Write(kb_->graph(), out_path, page_size));
     KSP_RETURN_NOT_OK(
-        DiskGraph::WriteTranspose(kb_->graph(), in_path, page_size));
+        DiskGraph::Write(kb_->graph(), out_path, kSpillPageSize));
+    KSP_RETURN_NOT_OK(
+        DiskGraph::WriteTranspose(kb_->graph(), in_path, kSpillPageSize));
     KSP_ASSIGN_OR_RETURN(
         disk_->graph,
         DiskGraphAccessor::Open(out_path, in_path, &disk_->pool));
@@ -247,8 +247,7 @@ Status KspDatabase::BuildDiskBackendState() {
 Status KspDatabase::SpillRTree(DiskBackendState* disk) {
   if (rtree_ == nullptr) return Status::OK();
   const std::string path = disk->directory + "/" + rtree_spill_name_;
-  KSP_RETURN_NOT_OK(
-      PagedRTree::Write(*rtree_, path, options_.buffer_pool_page_size));
+  KSP_RETURN_NOT_OK(PagedRTree::Write(*rtree_, path, kSpillPageSize));
   KSP_ASSIGN_OR_RETURN(paged_rtree_, PagedRTree::Open(path, &disk->pool));
   return Status::OK();
 }

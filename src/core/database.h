@@ -86,8 +86,6 @@ struct KspOptions {
   /// ShardedKspDatabase holds one pool for all of its shards, so the
   /// budget bounds the whole sharded database.
   uint64_t buffer_pool_budget_bytes = 32ULL << 20;
-  /// Page size of the spill files and pool (disk backend only).
-  uint32_t buffer_pool_page_size = 4096;
   /// Directory for the disk backend's spill files. Empty (default)
   /// creates a private temp directory, removed when the database is
   /// destroyed; a caller-provided directory is left in place. Every
@@ -278,13 +276,15 @@ class KspDatabase {
   KspDatabase(const KnowledgeBase* kb, KspOptions options,
               const KspDatabase* store, std::string rtree_spill_name);
 
+  /// Page size of the disk backend's spill files and of its pool.
+  static constexpr uint32_t kSpillPageSize = 4096;
+
   /// Everything the disk backend owns. The pool is declared first so it
   /// is destroyed last: the accessors deregister their files from it in
   /// their destructors.
   struct DiskBackendState {
     explicit DiskBackendState(const KspOptions& options)
-        : pool(options.buffer_pool_budget_bytes,
-               options.buffer_pool_page_size) {}
+        : pool(options.buffer_pool_budget_bytes, kSpillPageSize) {}
 
     SharedBufferPool pool;
     /// Spill directory; owned (created + removed by the database) when

@@ -229,9 +229,10 @@ Status QueryExecutor::PrepareContext(const KspQuery& query,
       ctx->terms.push_back(t);
     }
   }
-  if (ctx->terms.size() > 64) {
+  if (ctx->terms.size() > kMaxQueryKeywords) {
     return Status::InvalidArgument(
-        "at most 64 distinct query keywords are supported");
+        "at most " + std::to_string(kMaxQueryKeywords) +
+        " distinct query keywords are supported");
   }
   const size_t m = ctx->terms.size();
   ctx->full_mask = (m == 64) ? ~uint64_t{0} : ((uint64_t{1} << m) - 1);

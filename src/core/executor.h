@@ -62,7 +62,7 @@ class TopKHeap {
 /// SPP §4, SP §5) plus the TA baseline (§6.2.6). The database must be
 /// prepared before querying: every Execute* fails with
 /// Status::InvalidArgument if the R-tree has not been built — executors
-/// never build indexes.
+/// never build indexes — or if the query location is not finite.
 ///
 /// One executor is NOT thread-safe (its scratch is reused across calls);
 /// use one executor per thread.
@@ -76,6 +76,11 @@ class QueryExecutor {
   const KspDatabase& db() const { return *db_; }
 
   /// ---- Query algorithms ----
+
+  /// Runs `query` with `algorithm`: the one switch over the five
+  /// Execute* below, for callers that pick the algorithm at run time.
+  Result<KspResult> Execute(KspAlgorithm algorithm, const KspQuery& query,
+                            QueryStats* stats = nullptr);
 
   /// Basic Semantic Place retrieval (Algorithm 1).
   Result<KspResult> ExecuteBsp(const KspQuery& query,
@@ -251,11 +256,12 @@ class QueryExecutor {
   };
 
   /// Shared prologue of all five Execute*: checks the database is
-  /// prepared (and, for `scan`, the indexes its rules read), resets the
-  /// stats, opens the query (interrupt, cache epoch, trace, cursor I/O),
-  /// probes the result cache (place-at-a-time runs only; a hit is
-  /// finished here and left in run->cached), and prepares the keyword
-  /// context under doc_fetch. TA and keyword-only pass no scan.
+  /// prepared (and, for `scan`, the indexes its rules read) and the
+  /// query location is finite, resets the stats, opens the query
+  /// (interrupt, cache epoch, trace, cursor I/O), probes the result
+  /// cache (place-at-a-time runs only; a hit is finished here and left
+  /// in run->cached), and prepares the keyword context under doc_fetch.
+  /// TA and keyword-only pass no scan.
   Status BeginRun(const KspQuery& query, const PlaceScan* scan,
                   QueryRun* run);
 

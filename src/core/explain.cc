@@ -174,16 +174,7 @@ Result<ExplainReport> QueryExecutor::Explain(const KspQuery& query,
   // candidate rows while explain_ is set.
   explain_ = &report;
   explain_order_ = 0;
-  Result<KspResult> result = [&] {
-    switch (algorithm) {
-      case KspAlgorithm::kBsp:
-        return ExecuteBsp(query, &report.stats);
-      case KspAlgorithm::kSpp:
-        return ExecuteSpp(query, &report.stats);
-      default:
-        return ExecuteSp(query, &report.stats);
-    }
-  }();
+  Result<KspResult> result = Execute(algorithm, query, &report.stats);
   explain_ = nullptr;
   if (!result.ok()) return result.status();
   report.result = std::move(*result);

@@ -1,21 +1,41 @@
 #ifndef KSP_CORE_QUERY_H_
 #define KSP_CORE_QUERY_H_
 
+#include <cmath>
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "spatial/geometry.h"
 
 namespace ksp {
 
-/// Which kSP algorithm evaluates a query (lives here rather than in
-/// parallel.h so per-query APIs like EXPLAIN can name it without pulling
-/// in the thread-pool machinery).
+/// Which kSP algorithm evaluates a query; QueryExecutor::Execute
+/// dispatches on it.
 enum class KspAlgorithm { kBsp, kSpp, kSp, kTa, kKeywordOnly };
 
 /// Short stable name: "BSP", "SPP", "SP", "TA", "KW".
-const char* KspAlgorithmName(KspAlgorithm algorithm);
+inline const char* KspAlgorithmName(KspAlgorithm algorithm) {
+  switch (algorithm) {
+    case KspAlgorithm::kBsp:
+      return "BSP";
+    case KspAlgorithm::kSpp:
+      return "SPP";
+    case KspAlgorithm::kSp:
+      return "SP";
+    case KspAlgorithm::kTa:
+      return "TA";
+    case KspAlgorithm::kKeywordOnly:
+      return "KW";
+  }
+  return "?";
+}
+
+/// Most distinct keywords one query may carry: the TQSP construction
+/// keeps a query's covered keywords in one 64-bit mask.
+inline constexpr size_t kMaxQueryKeywords = 64;
 
 /// A top-k relevant Semantic Place query q = (q.λ, q.ψ, k) (Definition 3).
 struct KspQuery {
@@ -28,6 +48,16 @@ struct KspQuery {
   /// Number of requested semantic places.
   uint32_t k = 1;
 };
+
+/// InvalidArgument unless both coordinates of q.λ are finite. A NaN or
+/// infinite location makes every spatial distance NaN or infinite, so
+/// no ranking over it means anything.
+inline Status CheckQueryLocation(const Point& location) {
+  if (std::isfinite(location.x) && std::isfinite(location.y)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("query location must be finite");
+}
 
 }  // namespace ksp
 

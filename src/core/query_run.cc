@@ -1,6 +1,7 @@
-// What every QueryExecutor::Execute* shares: the prologue (BeginRun) and
-// epilogue (FinishRun) of all five, the per-candidate stop test of their
-// scan loops, and the per-place step of BSP, SPP and SP (VisitPlace).
+// What every QueryExecutor::Execute* shares: the algorithm switch
+// (Execute), the prologue (BeginRun) and epilogue (FinishRun) of all
+// five, the per-candidate stop test of their scan loops, and the
+// per-place step of BSP, SPP and SP (VisitPlace).
 // This code is kept out of executor.cc on purpose: compiled in one file
 // with ComputeTqsp, it changed GCC's inlining choices inside that BFS,
 // and the disk backend ran about 5% slower.
@@ -14,6 +15,24 @@ namespace ksp {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
+
+Result<KspResult> QueryExecutor::Execute(KspAlgorithm algorithm,
+                                         const KspQuery& query,
+                                         QueryStats* stats) {
+  switch (algorithm) {
+    case KspAlgorithm::kBsp:
+      return ExecuteBsp(query, stats);
+    case KspAlgorithm::kSpp:
+      return ExecuteSpp(query, stats);
+    case KspAlgorithm::kSp:
+      return ExecuteSp(query, stats);
+    case KspAlgorithm::kTa:
+      return ExecuteTa(query, stats);
+    case KspAlgorithm::kKeywordOnly:
+      return ExecuteKeywordOnly(query, stats);
+  }
+  return Status::InvalidArgument("unknown algorithm");
+}
 
 Status QueryExecutor::BeginRun(const KspQuery& query, const PlaceScan* scan,
                                QueryRun* run) {
@@ -29,6 +48,7 @@ Status QueryExecutor::BeginRun(const KspQuery& query, const PlaceScan* scan,
         "unqualified-place pruning (Rule 1) requires "
         "BuildReachabilityIndex()");
   }
+  KSP_RETURN_NOT_OK(CheckQueryLocation(query.location));
   run->total_timer.Start();
   QueryStats* st = run->st;
   *st = QueryStats();

@@ -5,15 +5,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <utility>
 
 #include "alpha/alpha_index.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "core/parallel.h"
+#include "core/executor.h"
 #include "rdf/knowledge_base.h"
 #include "reach/reachability_index.h"
 #include "service/protocol.h"
@@ -275,11 +277,11 @@ void KspServer::AcceptLoop() {
 Status KspServer::ValidateRequest(const ServiceRequest& request) const {
   if (request.type == MessageType::kQuery ||
       request.type == MessageType::kExplain) {
-    if (request.query.keywords.size() > options_.max_keywords) {
+    if (request.query.keywords.size() > kMaxQueryKeywords) {
       return Status::InvalidArgument(
           "query carries " + std::to_string(request.query.keywords.size()) +
           " keywords; the server accepts at most " +
-          std::to_string(options_.max_keywords));
+          std::to_string(kMaxQueryKeywords));
     }
   }
   if (request.type == MessageType::kSwap && request.directory.empty()) {
@@ -329,10 +331,13 @@ void KspServer::ConnectionLoop(int fd, uint64_t conn_id) {
       uint64_t deadline_ms = pending.request.query.deadline_ms;
       if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
       // Armed at admission: the deadline covers queue wait, so a request
-      // that ages out while queued never reaches the engine.
+      // that ages out while queued never reaches the engine. A wire value
+      // past int64 range is clamped; the token treats a deadline the clock
+      // cannot represent as none.
       if (deadline_ms != 0) {
-        pending.token.set_deadline_after_ms(
-            static_cast<int64_t>(deadline_ms));
+        pending.token.set_deadline_after_ms(static_cast<int64_t>(
+            std::min<uint64_t>(deadline_ms,
+                               std::numeric_limits<int64_t>::max())));
       }
       if (!queue_.TryPush(&pending)) {
         server_metrics_.overload_rejections->Increment();
@@ -459,7 +464,7 @@ void KspServer::HandleQuery(PendingRequest* request, QueryExecutor* executor,
       const KspQuery query =
           state.db->MakeQuery(qr.location, qr.keywords, qr.k);
       executor->set_cancellation(&request->token);
-      result = ExecuteWith(executor, qr.algorithm, query, &stats);
+      result = executor->Execute(qr.algorithm, query, &stats);
       executor->set_cancellation(nullptr);
     }
     if (request->request.type != MessageType::kExplain) {

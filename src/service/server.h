@@ -43,8 +43,6 @@ struct ServerOptions {
   uint64_t default_deadline_ms = 0;
   /// Fast-reject bound on request frames, enforced before decoding.
   uint32_t max_frame_bytes = 1 << 20;
-  /// Fast-reject bound on per-query keywords (TQSP masks hold 64).
-  uint32_t max_keywords = 64;
 };
 
 /// Deadline-aware network front-end over the kSP engine (DESIGN.md §11).

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "core/parallel.h"
-
 namespace ksp {
 
 InProcessShardChannel::InProcessShardChannel(const KspDatabase* db)
@@ -22,7 +20,7 @@ Status InProcessShardChannel::Query(const ShardQueryRequest& request,
   executor_.set_shared_theta(live_theta);
   QueryStats stats;
   Result<KspResult> result =
-      ExecuteWith(&executor_, request.algorithm, query, &stats);
+      executor_.Execute(request.algorithm, query, &stats);
   executor_.set_shared_theta(nullptr);
   response->stats = stats;
   if (!result.ok()) {

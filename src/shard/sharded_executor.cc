@@ -37,6 +37,9 @@ void ShardedExecutor::set_metrics(MetricsRegistry* registry) {
 Result<KspResult> ShardedExecutor::Execute(KspAlgorithm algorithm,
                                            const KspQuery& query,
                                            QueryStats* stats) {
+  // Checked before any shard sees the query: at an infinite location
+  // shard-level Rule 2 would prune every shard and answer an empty OK.
+  KSP_RETURN_NOT_OK(CheckQueryLocation(query.location));
   // The shard boundary speaks keyword strings; TermIds map back through
   // the (bijective) vocabulary. An unresolvable keyword makes the query
   // unanswerable on every shard — the empty result, exactly as the
@@ -70,6 +73,7 @@ Result<KspResult> ShardedExecutor::Execute(
     KspAlgorithm algorithm, const Point& location,
     const std::vector<std::string>& keywords, uint32_t k,
     QueryStats* stats) {
+  KSP_RETURN_NOT_OK(CheckQueryLocation(location));
   return ExecuteScatterGather(algorithm, location, keywords, k, stats);
 }
 

@@ -69,7 +69,8 @@ class ShardedExecutor {
   /// Scatter-gather evaluation. The TermId overload requires ids from
   /// this KB's vocabulary (kInvalidTerm ⇒ the empty result, exactly as
   /// unsharded); the string overload resolves per shard generation, the
-  /// serving-tier contract.
+  /// serving-tier contract. Both refuse a non-finite location with
+  /// InvalidArgument before any shard is visited, as QueryExecutor does.
   Result<KspResult> Execute(KspAlgorithm algorithm, const KspQuery& query,
                             QueryStats* stats = nullptr);
   Result<KspResult> Execute(KspAlgorithm algorithm, const Point& location,

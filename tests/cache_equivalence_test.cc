@@ -1,8 +1,8 @@
 // The cache exactness contract (DESIGN.md §9): with caching enabled at
 // ANY budget, every query's top-k ids, scores, looseness values, and
 // ordering are byte-identical to the uncached run — cold cache, warm
-// cache (every query asked twice), and across a QueryExecutorPool whose
-// workers share one cache. 210 seeded queries spanning the paper's
+// cache (every query asked twice), and across eight threads whose
+// executors share one cache. 210 seeded queries spanning the paper's
 // kOriginal and kSDLL workloads, three algorithms, k ∈ {1, 10}, and the
 // three budget regimes {0 (pass-through), 64 KiB (eviction pressure),
 // unlimited (every entry sticks)}.
@@ -17,10 +17,10 @@
 
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "core/semantic_cache.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
+#include "executor_threads.h"
 #include "query_corpus.h"
 
 namespace ksp {
@@ -181,19 +181,18 @@ TEST_F(CacheEquivalenceTest, UnlimitedBudgetServesEveryWarmQueryFromCache) {
 }
 
 TEST_F(CacheEquivalenceTest, PoolWorkersSharingOneCacheStayExact) {
-  // Eight workers race on the shared cache: first pass populates it
-  // concurrently, second pass hits it concurrently. Results must remain
-  // positionally byte-identical to the uncached baseline in both.
+  // Eight worker threads, one executor each, race on the shared cache:
+  // the first pass populates it concurrently, the second hits it
+  // concurrently. Results must remain positionally byte-identical to the
+  // uncached baseline in both.
   for (size_t budget : {k64KiB, kCacheUnlimited}) {
     auto db = MakeCachedDb(budget);
-    QueryExecutorPool pool(db.get(), /*num_threads=*/8);
     for (size_t a = 0; a < std::size(kAlgorithms); ++a) {
-      for (const char* pass : {"pool-cold", "pool-warm"}) {
-        auto results = pool.Run(*queries_, kAlgorithms[a].algorithm);
-        ASSERT_TRUE(results.ok()) << results.status().ToString();
-        ASSERT_EQ(results->size(), queries_->size());
-        for (size_t i = 0; i < results->size(); ++i) {
-          ExpectIdentical((*results)[i], (*baseline_)[a][i],
+      for (const char* pass : {"threads-cold", "threads-warm"}) {
+        const ThreadedRun run = RunOnThreads(
+            *db, kAlgorithms[a].algorithm, *queries_, /*num_threads=*/8);
+        for (size_t i = 0; i < run.results.size(); ++i) {
+          ExpectIdentical(run.results[i], (*baseline_)[a][i],
                           kAlgorithms[a].name, i, pass);
         }
       }

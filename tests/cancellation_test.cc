@@ -186,6 +186,26 @@ TEST(CancellationTest, DeadlineTripsAndIsSticky) {
   EXPECT_TRUE(token.Check().ok());
 }
 
+TEST(CancellationTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  // now + ms in int64 nanoseconds overflows above about 9.2e12 ms; the
+  // sum saturates to "no deadline" instead of wrapping into the past.
+  for (const int64_t ms :
+       {int64_t{9'300'000'000'000}, int64_t{1} << 62,
+        std::numeric_limits<int64_t>::max()}) {
+    CancellationToken token;
+    token.set_deadline_after_ms(ms);
+    EXPECT_TRUE(token.Check().ok()) << ms;
+  }
+  // An ordinary deadline still arms, and a negative one means now.
+  CancellationToken token;
+  token.set_deadline_after_ms(60'000);
+  EXPECT_TRUE(token.Check().ok());
+  token.set_deadline_after_ms(-5);
+  EXPECT_TRUE(token.Check().IsDeadlineExceeded());
+  token.set_deadline_after_ms(std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(token.Check().IsDeadlineExceeded());
+}
+
 TEST(CancellationTest, ExpiredDeadlineFailsQueryWithPartialStats) {
   auto kb = MakeKb(300);
   KspDatabase db(kb.get());

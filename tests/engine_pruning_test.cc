@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "core/database.h"
 #include "core/executor.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
+#include "rdf/knowledge_base.h"
 
 namespace ksp {
 namespace {
@@ -166,6 +170,81 @@ TEST_F(PruningTest, LargerAlphaNeverIncreasesTqspCount) {
     }
   }
   EXPECT_LE(tqsp3, tqsp1);
+}
+
+// SP's Rule 1 under a finite θ. At α = 1 a keyword three hops away
+// gets the bound distance α + 1 = 2, so the near place's α bound
+// (L_B = 3, f_B = 3) underestimates its score (L = 4, f = 4). It pops
+// first and fills the k = 1 heap at θ = 4. The far place cannot reach
+// the keyword at all, yet its bound f_B = 3 × 1.2 = 3.6 is below θ, so
+// it is popped too, and Rule 1 must discard it without a TQSP.
+TEST(SpRuleOneTest, PrunesUnderFiniteTheta) {
+  KnowledgeBaseBuilder builder;
+  auto entity = [&](std::string_view local) {
+    return builder.AddEntity("http://example.org/" + std::string(local));
+  };
+  const std::string link = "http://example.org/link";
+  const VertexId near = entity("Near");
+  const VertexId alpha = entity("Alpha");
+  const VertexId bravo = entity("Bravo");
+  const VertexId zebra = entity("Zebra");
+  builder.AddRelation(near, alpha, link);
+  builder.AddRelation(alpha, bravo, link);
+  builder.AddRelation(bravo, zebra, link);
+  const VertexId far = entity("Far");
+  builder.AddRelation(far, entity("Delta"), link);
+  builder.SetLocation(near, Point{1.0, 0.0});
+  builder.SetLocation(far, Point{0.0, 1.2});
+  auto kb = builder.Finish();
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  KspDatabase db(kb->get());
+  db.PrepareAll(/*alpha=*/1);
+  QueryExecutor executor(&db);
+  const KspQuery query = db.MakeQuery(Point{0.0, 0.0}, {"zebra"}, 1);
+  const PlaceId near_place = (*kb)->place_of(near);
+  const PlaceId far_place = (*kb)->place_of(far);
+
+  QueryStats stats;
+  auto result = executor.ExecuteSp(query, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->entries.size(), 1u);
+  EXPECT_EQ(result->entries[0].place, near_place);
+  EXPECT_EQ(result->entries[0].looseness, 4.0);
+  EXPECT_EQ(stats.pruned_unqualified, 1u);
+  EXPECT_EQ(stats.tqsp_computations, 1u);
+
+  auto report = executor.Explain(query, KspAlgorithm::kSp);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const QueryStats& st = report->stats;
+  constexpr size_t kOutcomes = 7;  // CandidateOutcome values.
+  uint64_t rows[kOutcomes] = {};
+  const ExplainCandidate* rule1_row = nullptr;
+  for (const ExplainCandidate& c : report->candidates) {
+    ++rows[static_cast<size_t>(c.outcome)];
+    if (c.outcome == CandidateOutcome::kPrunedRule1) rule1_row = &c;
+  }
+  ASSERT_NE(rule1_row, nullptr);
+  EXPECT_EQ(rule1_row->place, far_place);
+  EXPECT_TRUE(std::isfinite(rule1_row->threshold));
+  EXPECT_EQ(rule1_row->threshold, 4.0);
+  EXPECT_LT(rule1_row->score_bound, rule1_row->threshold);
+
+  // The ExplainRowsMatchCounters identities.
+  auto count = [&](CandidateOutcome outcome) {
+    return rows[static_cast<size_t>(outcome)];
+  };
+  EXPECT_EQ(count(CandidateOutcome::kPrunedRule1), st.pruned_unqualified);
+  EXPECT_EQ(count(CandidateOutcome::kPrunedRule2), st.pruned_dynamic_bound);
+  EXPECT_EQ(count(CandidateOutcome::kPrunedRule3), st.pruned_alpha_place);
+  EXPECT_EQ(count(CandidateOutcome::kPrunedRule4), st.pruned_alpha_node);
+  EXPECT_EQ(count(CandidateOutcome::kComputed) +
+                count(CandidateOutcome::kInTopK) +
+                count(CandidateOutcome::kUnqualified) +
+                count(CandidateOutcome::kPrunedRule2),
+            st.tqsp_computations);
+  EXPECT_EQ(count(CandidateOutcome::kInTopK), report->result.entries.size());
+  EXPECT_EQ(st.pruned_unqualified, stats.pruned_unqualified);
+  EXPECT_EQ(st.tqsp_computations, stats.tqsp_computations);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Concurrency contract of the database/executor split: eight
-// QueryExecutors sharing one immutable KspDatabase must produce
-// bit-identical results to a single executor, and batch stats must merge
-// exactly. This is the primary TSan target (build with
-// -DKSP_SANITIZE=thread).
+// QueryExecutors on eight threads over one immutable KspDatabase must
+// produce bit-identical results and equal summed work counters to a
+// single executor, and, sharing one MetricsRegistry as the server's
+// workers do, must leave the registry equal to the summed stats. This is
+// the primary TSan target (build with -DKSP_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
+#include "executor_threads.h"
 
 namespace ksp {
 namespace {
@@ -63,51 +65,41 @@ TEST_F(ExecutorConcurrencyTest, EightWorkersMatchOneForEveryAlgorithm) {
   for (KspAlgorithm algorithm :
        {KspAlgorithm::kBsp, KspAlgorithm::kSpp, KspAlgorithm::kSp,
         KspAlgorithm::kTa, KspAlgorithm::kKeywordOnly}) {
-    BatchRunOptions serial;
-    serial.algorithm = algorithm;
-    serial.num_threads = 1;
-    BatchRunStats serial_stats;
-    auto expected = RunQueryBatch(*db_, queries_, serial, &serial_stats);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    SCOPED_TRACE(KspAlgorithmName(algorithm));
+    QueryExecutor reference(db_.get());
+    std::vector<KspResult> expected;
+    QueryStats s;
+    for (const KspQuery& q : queries_) {
+      QueryStats stats;
+      auto r = reference.Execute(algorithm, q, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected.push_back(std::move(*r));
+      s.Accumulate(stats);
+    }
 
-    BatchRunOptions parallel;
-    parallel.algorithm = algorithm;
-    parallel.num_threads = kThreads;
-    BatchRunStats parallel_stats;
-    auto got = RunQueryBatch(*db_, queries_, parallel, &parallel_stats);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameResults(*expected, *got);
+    const ThreadedRun got =
+        RunOnThreads(*db_, algorithm, queries_, kThreads);
+    ExpectSameResults(expected, got.results);
 
-    // Work counters are per-query deterministic, so the merged totals
-    // must agree exactly however queries were distributed over workers.
-    const QueryStats& s = serial_stats.totals;
-    const QueryStats& p = parallel_stats.totals;
-    EXPECT_EQ(p.tqsp_computations, s.tqsp_computations)
-        << KspAlgorithmName(algorithm);
-    EXPECT_EQ(p.rtree_nodes_accessed, s.rtree_nodes_accessed)
-        << KspAlgorithmName(algorithm);
-    EXPECT_EQ(p.vertices_visited, s.vertices_visited)
-        << KspAlgorithmName(algorithm);
-    EXPECT_EQ(p.reachability_queries, s.reachability_queries)
-        << KspAlgorithmName(algorithm);
+    // Work counters are per-query deterministic, so the sums must agree
+    // exactly however the queries were spread over the threads.
+    const QueryStats& p = got.totals;
+    EXPECT_EQ(p.tqsp_computations, s.tqsp_computations);
+    EXPECT_EQ(p.rtree_nodes_accessed, s.rtree_nodes_accessed);
+    EXPECT_EQ(p.vertices_visited, s.vertices_visited);
+    EXPECT_EQ(p.reachability_queries, s.reachability_queries);
     EXPECT_EQ(p.pruned_unqualified, s.pruned_unqualified);
     EXPECT_EQ(p.pruned_dynamic_bound, s.pruned_dynamic_bound);
     EXPECT_EQ(p.pruned_alpha_place, s.pruned_alpha_place);
     EXPECT_EQ(p.pruned_alpha_node, s.pruned_alpha_node);
     EXPECT_EQ(p.completed, s.completed);
-
-    // One wall-clock lane per worker, each non-negative.
-    ASSERT_EQ(parallel_stats.worker_wall_ms.size(), kThreads);
-    for (double wall : parallel_stats.worker_wall_ms) {
-      EXPECT_GE(wall, 0.0);
-    }
   }
 }
 
 TEST_F(ExecutorConcurrencyTest, RawExecutorsShareOneDatabaseSafely) {
-  // Bypass the pool: eight plain threads, each with its own stack
-  // QueryExecutor, all hammering the same database over the full batch.
-  // Every thread must reproduce the reference answers exactly.
+  // Eight threads, each with its own stack QueryExecutor, all running
+  // the full query list against the same database at once. Every thread
+  // must reproduce the reference answers exactly.
   QueryExecutor reference(db_.get());
   std::vector<KspResult> expected;
   for (const KspQuery& q : queries_) {
@@ -142,19 +134,21 @@ TEST_F(ExecutorConcurrencyTest, RawExecutorsShareOneDatabaseSafely) {
   }
 }
 
-TEST_F(ExecutorConcurrencyTest, PoolSurvivesManySmallBatches) {
-  // Regression against pool dispatch races: many generations of tiny
-  // batches on a persistent pool (TSan exercises the handoff protocol).
-  QueryExecutorPool pool(db_.get(), kThreads);
-  BatchRunOptions serial;
-  serial.algorithm = KspAlgorithm::kSpp;
-  auto expected = RunQueryBatch(*db_, queries_, serial);
-  ASSERT_TRUE(expected.ok());
-  for (int round = 0; round < 10; ++round) {
-    auto got = pool.Run(queries_, KspAlgorithm::kSpp);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameResults(*expected, *got);
-  }
+TEST_F(ExecutorConcurrencyTest, SharedRegistryMatchesSummedStats) {
+  // The server's workers feed one registry from every thread; its
+  // counters must account for each query exactly once.
+  MetricsRegistry registry;
+  const ThreadedRun run = RunOnThreads(*db_, KspAlgorithm::kSpp, queries_,
+                                       kThreads, &registry);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.counters["ksp_queries_total"], queries_.size());
+  EXPECT_EQ(snapshot.counters["ksp_tqsp_computations_total"],
+            run.totals.tqsp_computations);
+  EXPECT_EQ(snapshot.counters["ksp_bfs_vertices_visited_total"],
+            run.totals.vertices_visited);
+  EXPECT_EQ(snapshot.histograms["ksp_query_latency_ms"].count,
+            queries_.size());
+  EXPECT_GT(run.totals.tqsp_computations, 0u);
 }
 
 }  // namespace

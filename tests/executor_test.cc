@@ -1,12 +1,14 @@
 // QueryExecutor session behaviour: the prepared-before-query contract,
-// the >64-distinct-keyword limit on the Result-returning TQSP API, and
-// the BFS-epoch uint32_t wraparound path.
+// the finite-location check, the algorithm switch, the
+// >64-distinct-keyword limit on the Result-returning TQSP API, and the
+// BFS-epoch uint32_t wraparound path.
 
 #include "core/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 
@@ -24,6 +26,19 @@ constexpr ExecuteFn kAllAlgorithms[] = {
     &QueryExecutor::ExecuteBsp, &QueryExecutor::ExecuteSpp,
     &QueryExecutor::ExecuteSp, &QueryExecutor::ExecuteTa,
     &QueryExecutor::ExecuteKeywordOnly};
+
+/// The KspAlgorithm of each kAllAlgorithms entry, in the same order.
+constexpr KspAlgorithm kAllAlgorithmIds[] = {
+    KspAlgorithm::kBsp, KspAlgorithm::kSpp, KspAlgorithm::kSp,
+    KspAlgorithm::kTa, KspAlgorithm::kKeywordOnly};
+
+TEST(KspAlgorithmTest, Names) {
+  EXPECT_STREQ(KspAlgorithmName(KspAlgorithm::kBsp), "BSP");
+  EXPECT_STREQ(KspAlgorithmName(KspAlgorithm::kSpp), "SPP");
+  EXPECT_STREQ(KspAlgorithmName(KspAlgorithm::kSp), "SP");
+  EXPECT_STREQ(KspAlgorithmName(KspAlgorithm::kTa), "TA");
+  EXPECT_STREQ(KspAlgorithmName(KspAlgorithm::kKeywordOnly), "KW");
+}
 
 TEST(ExecutorContractTest, UnpreparedDatabaseRejectedByEveryAlgorithm) {
   auto kb = BuildFigure1KnowledgeBase();
@@ -99,6 +114,83 @@ TEST(ExecutorContractTest, TooManyDistinctKeywordsRejected) {
       EXPECT_EQ(got->entries[i].looseness, want->entries[i].looseness);
       EXPECT_EQ(got->entries[i].score, want->entries[i].score);
     }
+  }
+}
+
+TEST(ExecutorContractTest, ExecuteDispatchesToEachAlgorithm) {
+  auto kb = BuildFigure1KnowledgeBase();
+  ASSERT_TRUE(kb.ok());
+  KspDatabase db(kb->get());
+  db.PrepareAll(2);
+  QueryExecutor executor(&db);
+  // At k = 1 the five runs differ: BSP probes no reachability, SPP
+  // aborts p2 by Rule 2 at q1 (Example 8) where SP stops at p2's α
+  // bound, and TA scores by L × S where keyword-only scores by L, so a
+  // swapped case changes a score or a counter below.
+  for (const Point& location : {kQ1, kQ2}) {
+    const KspQuery query = db.MakeQuery(location, Figure1QueryKeywords(), 1);
+    for (size_t a = 0; a < std::size(kAllAlgorithms); ++a) {
+      SCOPED_TRACE(::testing::Message()
+                   << KspAlgorithmName(kAllAlgorithmIds[a]) << " at ("
+                   << location.x << ", " << location.y << ")");
+      QueryStats want_stats;
+      QueryStats got_stats;
+      auto want = (executor.*kAllAlgorithms[a])(query, &want_stats);
+      auto got = executor.Execute(kAllAlgorithmIds[a], query, &got_stats);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ASSERT_EQ(want->entries.size(), 1u);
+      ASSERT_EQ(got->entries.size(), 1u);
+      EXPECT_EQ(got->entries[0].place, want->entries[0].place);
+      EXPECT_EQ(got->entries[0].score, want->entries[0].score);
+      EXPECT_EQ(got_stats.tqsp_computations, want_stats.tqsp_computations);
+      EXPECT_EQ(got_stats.rtree_nodes_accessed,
+                want_stats.rtree_nodes_accessed);
+      EXPECT_EQ(got_stats.reachability_queries,
+                want_stats.reachability_queries);
+      EXPECT_EQ(got_stats.vertices_visited, want_stats.vertices_visited);
+      EXPECT_EQ(got_stats.pruned_dynamic_bound,
+                want_stats.pruned_dynamic_bound);
+      EXPECT_EQ(got_stats.pruned_alpha_place, want_stats.pruned_alpha_place);
+      EXPECT_EQ(got_stats.pruned_alpha_node, want_stats.pruned_alpha_node);
+    }
+  }
+}
+
+TEST(ExecutorContractTest, NonFiniteLocationRejectedByEveryAlgorithm) {
+  // A NaN or infinite coordinate makes every spatial distance NaN or
+  // infinite, so any answer ranked over it would be NaN or +inf scores
+  // presented as OK.
+  auto kb = BuildFigure1KnowledgeBase();
+  ASSERT_TRUE(kb.ok());
+  KspDatabase db(kb->get());
+  db.PrepareAll(2);
+  QueryExecutor executor(&db);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (const bool on_x : {true, false}) {
+      KspQuery query = db.MakeQuery(kQ1, Figure1QueryKeywords(), 2);
+      (on_x ? query.location.x : query.location.y) = bad;
+      for (const KspAlgorithm algorithm : kAllAlgorithmIds) {
+        SCOPED_TRACE(::testing::Message()
+                     << KspAlgorithmName(algorithm) << " "
+                     << (on_x ? "x" : "y") << " = " << bad);
+        auto result = executor.Execute(algorithm, query);
+        ASSERT_FALSE(result.ok());
+        EXPECT_TRUE(result.status().IsInvalidArgument())
+            << result.status().ToString();
+      }
+      auto report = executor.Explain(query, KspAlgorithm::kSp);
+      ASSERT_FALSE(report.ok());
+      EXPECT_TRUE(report.status().IsInvalidArgument());
+    }
+  }
+  // The rejections leave the executor usable.
+  const KspQuery valid = db.MakeQuery(kQ1, Figure1QueryKeywords(), 2);
+  for (const KspAlgorithm algorithm : kAllAlgorithmIds) {
+    auto result = executor.Execute(algorithm, valid);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->entries.size(), 2u) << KspAlgorithmName(algorithm);
   }
 }
 

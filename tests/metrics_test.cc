@@ -1,7 +1,7 @@
 // MetricsRegistry semantics: counter/gauge/histogram behaviour, shard
 // merging under concurrency (run under TSan in CI — see sanitize.yml),
-// snapshot merging across registries, and the Prometheus/JSON export
-// golden strings DESIGN.md §7 declares stable.
+// and the Prometheus/JSON export golden strings DESIGN.md §7 declares
+// stable.
 
 #include <gtest/gtest.h>
 
@@ -114,21 +114,6 @@ TEST(HistogramTest, EightThreadsNeverLoseObservations) {
   EXPECT_EQ(histogram.Snapshot().count, kThreads * kPerThread);
 }
 
-TEST(HistogramTest, SnapshotMergeSumsBucketsCountsAndSums) {
-  Histogram a({1.0, 2.0});
-  Histogram b({1.0, 2.0});
-  a.Observe(0.5);
-  b.Observe(1.5);
-  b.Observe(5.0);
-  HistogramSnapshot merged = a.Snapshot();
-  merged.MergeFrom(b.Snapshot());
-  EXPECT_EQ(merged.count, 3u);
-  EXPECT_DOUBLE_EQ(merged.sum, 7.0);
-  EXPECT_EQ(merged.counts[0], 1u);
-  EXPECT_EQ(merged.counts[1], 1u);
-  EXPECT_EQ(merged.counts[2], 1u);
-}
-
 TEST(RegistryTest, SameNameReturnsSameHandle) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("ops_total");
@@ -151,26 +136,6 @@ TEST(RegistryTest, SnapshotIsDeterministicAcrossShardAssignments) {
   EXPECT_EQ(a.Snapshot().counters["x_total"],
             b.Snapshot().counters["x_total"]);
   EXPECT_EQ(a.Snapshot().ToJson(), b.Snapshot().ToJson());
-}
-
-TEST(RegistryTest, MergeSumsCountersAndMaxesGauges) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.GetCounter("queries_total")->Increment(10);
-  b.GetCounter("queries_total")->Increment(5);
-  b.GetCounter("only_b_total")->Increment(2);
-  a.GetGauge("depth")->Set(3.0);
-  b.GetGauge("depth")->Set(8.0);
-  a.GetHistogram("lat_ms", {1.0})->Observe(0.5);
-  b.GetHistogram("lat_ms", {1.0})->Observe(2.0);
-
-  MetricsSnapshot merged = a.Snapshot();
-  merged.MergeFrom(b.Snapshot());
-  EXPECT_EQ(merged.counters["queries_total"], 15u);
-  EXPECT_EQ(merged.counters["only_b_total"], 2u);
-  EXPECT_DOUBLE_EQ(merged.gauges["depth"], 8.0);
-  EXPECT_EQ(merged.histograms["lat_ms"].count, 2u);
-  EXPECT_DOUBLE_EQ(merged.histograms["lat_ms"].sum, 2.5);
 }
 
 /// Fills one registry with one metric of each kind, with exactly the

@@ -1,12 +1,15 @@
 // Serving-tier protocol and end-to-end behavior: codec roundtrips,
-// oracle-matched query responses, inline health/metrics/explain, and the
+// oracle-matched query responses, inline health/metrics/explain, wire
+// deadlines past the clock's range, non-finite query locations, and the
 // fast-reject path for malformed and oversized frames.
 
 #include <gtest/gtest.h>
 
 #include <malloc.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -231,6 +234,70 @@ TEST_F(ServiceEndToEndTest, ExpiredDeadlineIsTyped) {
     EXPECT_EQ(response->code, StatusCode::kDeadlineExceeded)
         << response->message;
   }
+}
+
+TEST_F(ServiceEndToEndTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  // The wire carries deadline_ms as u64. Above about 9.2e12 ms, now +
+  // deadline no longer fits the clock's int64 nanoseconds; such a
+  // deadline is none, and the query must get its answer.
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  QueryExecutor oracle(db_.get());
+  const KspQuery& query = queries_[0];
+  auto expected = oracle.ExecuteSp(query, nullptr);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (const uint64_t deadline_ms :
+       {uint64_t{1} << 62, std::numeric_limits<uint64_t>::max()}) {
+    auto response = client->Query(KspAlgorithm::kSp, query.location,
+                                  KeywordStrings(*kb_, query), query.k,
+                                  deadline_ms);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok())
+        << "deadline_ms " << deadline_ms << ": " << response->message;
+    ASSERT_EQ(response->entries.size(), expected->entries.size());
+    for (size_t i = 0; i < expected->entries.size(); ++i) {
+      EXPECT_EQ(response->entries[i].place, expected->entries[i].place);
+      EXPECT_EQ(response->entries[i].score, expected->entries[i].score);
+    }
+  }
+}
+
+TEST_F(ServiceEndToEndTest, NonFiniteLocationIsInvalidArgument) {
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  const KspQuery& query = queries_[0];
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (const bool on_x : {true, false}) {
+      Point location = query.location;
+      (on_x ? location.x : location.y) = bad;
+      for (const KspAlgorithm algorithm :
+           {KspAlgorithm::kBsp, KspAlgorithm::kSpp, KspAlgorithm::kSp,
+            KspAlgorithm::kTa, KspAlgorithm::kKeywordOnly}) {
+        SCOPED_TRACE(::testing::Message()
+                     << KspAlgorithmName(algorithm) << " "
+                     << (on_x ? "x" : "y") << " = " << bad);
+        auto response = client->Query(algorithm, location,
+                                      KeywordStrings(*kb_, query), query.k);
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        EXPECT_EQ(response->code, StatusCode::kInvalidArgument)
+            << response->message;
+        EXPECT_TRUE(response->entries.empty());
+      }
+      auto explain = client->Explain(KspAlgorithm::kSp, location,
+                                     KeywordStrings(*kb_, query), query.k);
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      EXPECT_EQ(explain->code, StatusCode::kInvalidArgument)
+          << explain->message;
+    }
+  }
+  // The connection and the workers' executors still serve.
+  auto valid = client->Query(KspAlgorithm::kSp, query.location,
+                             KeywordStrings(*kb_, query), query.k);
+  ASSERT_TRUE(valid.ok());
+  EXPECT_TRUE(valid->ok()) << valid->message;
+  EXPECT_FALSE(valid->entries.empty());
 }
 
 TEST_F(ServiceEndToEndTest, MalformedAndOversizedFramesAreFastRejected) {

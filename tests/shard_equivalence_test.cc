@@ -16,7 +16,6 @@
 
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
 #include "query_corpus.h"
@@ -90,7 +89,7 @@ class ShardEquivalenceTest : public ::testing::Test {
     QueryExecutor executor(reference_);
     KspQuery query = (*queries_)[query_index];
     query.k = k;
-    auto result = ExecuteWith(&executor, algorithm, query, nullptr);
+    auto result = executor.Execute(algorithm, query);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return reference_cache_.emplace(key, std::move(*result)).first->second;
   }

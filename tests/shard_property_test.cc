@@ -4,12 +4,15 @@
 // boundaries (including degenerate single-place and empty tiles) and a
 // random query, and additionally pin the no-false-prune property: when k
 // covers every matching place, no shard may be pruned, because pruning
-// would have to discard a place that belongs to the result.
+// would have to discard a place that belongs to the result. A non-finite
+// query location is refused before any shard is visited.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,7 +20,6 @@
 #include "common/rng.h"
 #include "core/database.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
 #include "rdf/knowledge_base.h"
@@ -89,7 +91,7 @@ TEST_F(ShardPropertyTest, RandomPartitionsMatchUnsharded) {
     const KspAlgorithm algorithm =
         rng.NextBounded(2) == 0 ? KspAlgorithm::kBsp : KspAlgorithm::kSpp;
 
-    auto want = ExecuteWith(&unsharded, algorithm, query, nullptr);
+    auto want = unsharded.Execute(algorithm, query);
     ASSERT_TRUE(want.ok()) << "seed " << seed;
     QueryStats stats;
     auto got = executor.Execute(algorithm, query, &stats);
@@ -136,7 +138,7 @@ TEST_F(ShardPropertyTest, NoPruningWhenKCoversAllMatches) {
     // k ≥ total matching places: ask for every place in the KB.
     query.k = kb_->num_places();
 
-    auto want = ExecuteWith(&unsharded, KspAlgorithm::kBsp, query, nullptr);
+    auto want = unsharded.Execute(KspAlgorithm::kBsp, query);
     ASSERT_TRUE(want.ok()) << "seed " << seed;
     QueryStats stats;
     auto got = executor.Execute(KspAlgorithm::kBsp, query, &stats);
@@ -150,6 +152,57 @@ TEST_F(ShardPropertyTest, NoPruningWhenKCoversAllMatches) {
           << "seed " << seed << " rank " << i;
       ASSERT_EQ(want->entries[i].score, got->entries[i].score)
           << "seed " << seed << " rank " << i;
+    }
+  }
+}
+
+// A NaN or infinite location is refused before any shard is visited, as
+// the unsharded executor refuses it. The check cannot be left to the
+// shards: at +inf, shard-level Rule 2 prunes every shard, and the empty
+// OK it would answer is one no shard ever checked.
+TEST_F(ShardPropertyTest, NonFiniteLocationRejectedBeforeDispatch) {
+  auto sharded = ShardedKspDatabase::Build(kb_, KspOptions(),
+                                           StrPartition(*kb_, 4),
+                                           /*alpha=*/3);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ShardedExecutor executor(sharded->get());
+  QueryExecutor unsharded(reference_);
+  QueryGenOptions options;
+  options.num_keywords = 2;
+  options.seed = 7;
+  auto queries = GenerateQueries(*kb_, QueryClass::kOriginal, options, 1);
+  ASSERT_EQ(queries.size(), 1u);
+  std::vector<std::string> keywords;
+  for (TermId t : queries[0].keywords) {
+    keywords.push_back(kb_->vocabulary().Term(t));
+  }
+
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (const bool on_x : {true, false}) {
+      KspQuery query = queries[0];
+      (on_x ? query.location.x : query.location.y) = bad;
+      for (const KspAlgorithm algorithm :
+           {KspAlgorithm::kBsp, KspAlgorithm::kSpp, KspAlgorithm::kSp,
+            KspAlgorithm::kTa, KspAlgorithm::kKeywordOnly}) {
+        SCOPED_TRACE(::testing::Message()
+                     << KspAlgorithmName(algorithm) << " "
+                     << (on_x ? "x" : "y") << " = " << bad);
+        QueryStats stats;
+        auto by_id = executor.Execute(algorithm, query, &stats);
+        ASSERT_FALSE(by_id.ok());
+        EXPECT_TRUE(by_id.status().IsInvalidArgument());
+        EXPECT_EQ(stats.shards_visited + stats.shards_pruned, 0u);
+        auto by_string = executor.Execute(algorithm, query.location,
+                                          keywords, query.k, &stats);
+        ASSERT_FALSE(by_string.ok());
+        EXPECT_TRUE(by_string.status().IsInvalidArgument());
+        EXPECT_EQ(stats.shards_visited + stats.shards_pruned, 0u);
+        auto want = unsharded.Execute(algorithm, query);
+        ASSERT_FALSE(want.ok());
+        EXPECT_EQ(want.status().code(), by_id.status().code());
+      }
     }
   }
 }

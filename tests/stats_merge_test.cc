@@ -1,18 +1,11 @@
-// Pins QueryStats::Accumulate's field-by-field merge semantics, both
-// directly and through the QueryExecutorPool::Run merge path. The
+// Pins QueryStats::Accumulate's field-by-field merge semantics. The
 // static_assert below forces anyone adding a QueryStats field to revisit
 // Accumulate (and this test) — a silently dropped field corrupts every
-// batch report.
+// summed report (sharded runs, bench workloads).
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "core/database.h"
-#include "core/parallel.h"
 #include "core/stats.h"
-#include "datagen/fixtures.h"
 
 namespace ksp {
 namespace {
@@ -96,90 +89,6 @@ TEST(QueryStatsTest, AccumulateFromDefaultIsIdentity) {
   EXPECT_EQ(a.tqsp_computations, before.tqsp_computations);
   EXPECT_EQ(a.pruned_alpha_node, before.pruned_alpha_node);
   EXPECT_EQ(a.completed, before.completed);
-}
-
-class PoolMergeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto kb = BuildFigure1KnowledgeBase();
-    ASSERT_TRUE(kb.ok()) << kb.status().ToString();
-    kb_ = std::move(kb).value();
-    db_ = std::make_unique<KspDatabase>(kb_.get());
-    db_->PrepareAll(/*alpha=*/3);
-    for (int i = 0; i < 12; ++i) {
-      queries_.push_back(db_->MakeQuery(i % 2 == 0 ? kQ1 : kQ2,
-                                        Figure1QueryKeywords(), 2));
-    }
-  }
-
-  std::unique_ptr<KnowledgeBase> kb_;
-  std::unique_ptr<KspDatabase> db_;
-  std::vector<KspQuery> queries_;
-};
-
-TEST_F(PoolMergeTest, PoolTotalsMatchPerQuerySums) {
-  // Reference: the deterministic counters summed query-by-query.
-  QueryStats expected;
-  {
-    QueryExecutor executor(db_.get());
-    for (const KspQuery& query : queries_) {
-      QueryStats stats;
-      ASSERT_TRUE(executor.ExecuteSpp(query, &stats).ok());
-      expected.Accumulate(stats);
-    }
-  }
-
-  QueryExecutorPool pool(db_.get(), /*num_threads=*/3);
-  BatchRunStats batch;
-  auto results = pool.Run(queries_, KspAlgorithm::kSpp, &batch);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->size(), queries_.size());
-
-  // Work-stealing order varies; the deterministic counter sums must not.
-  EXPECT_EQ(batch.totals.tqsp_computations, expected.tqsp_computations);
-  EXPECT_EQ(batch.totals.rtree_nodes_accessed,
-            expected.rtree_nodes_accessed);
-  EXPECT_EQ(batch.totals.vertices_visited, expected.vertices_visited);
-  EXPECT_EQ(batch.totals.reachability_queries,
-            expected.reachability_queries);
-  EXPECT_EQ(batch.totals.pruned_unqualified, expected.pruned_unqualified);
-  EXPECT_EQ(batch.totals.pruned_dynamic_bound,
-            expected.pruned_dynamic_bound);
-  EXPECT_TRUE(batch.totals.completed);
-  EXPECT_EQ(batch.worker_wall_ms.size(), 3u);
-}
-
-TEST_F(PoolMergeTest, PoolMergesWorkerMetricsRegistries) {
-  QueryExecutorPool pool(db_.get(), /*num_threads=*/4);
-  BatchRunStats batch;
-  ASSERT_TRUE(pool.Run(queries_, KspAlgorithm::kSpp, &batch).ok());
-  EXPECT_EQ(batch.metrics.counters["ksp_queries_total"], queries_.size());
-  EXPECT_EQ(batch.metrics.counters["ksp_tqsp_computations_total"],
-            batch.totals.tqsp_computations);
-  EXPECT_EQ(batch.metrics.counters["ksp_bfs_vertices_visited_total"],
-            batch.totals.vertices_visited);
-  EXPECT_EQ(batch.metrics.histograms["ksp_query_latency_ms"].count,
-            queries_.size());
-
-  // Registries are cumulative over the pool lifetime: a second batch
-  // doubles the query count.
-  BatchRunStats batch2;
-  ASSERT_TRUE(pool.Run(queries_, KspAlgorithm::kSpp, &batch2).ok());
-  EXPECT_EQ(batch2.metrics.counters["ksp_queries_total"],
-            2 * queries_.size());
-}
-
-TEST_F(PoolMergeTest, SingleThreadedBatchFillsMetricsToo) {
-  BatchRunOptions options;
-  options.algorithm = KspAlgorithm::kSp;
-  options.num_threads = 1;
-  BatchRunStats batch;
-  auto results = RunQueryBatch(*db_, queries_, options, &batch);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  EXPECT_EQ(batch.metrics.counters["ksp_queries_total"], queries_.size());
-  EXPECT_EQ(batch.worker_wall_ms.size(), 1u);
-  EXPECT_EQ(batch.metrics.counters["ksp_tqsp_computations_total"],
-            batch.totals.tqsp_computations);
 }
 
 }  // namespace
